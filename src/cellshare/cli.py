@@ -17,12 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, metrics, oracle, sharing
-from .channel import beam_codebook, sample_channels
 from .config import (RunConfig, default_config, dump_config, load_config,
                      resolved_dict, validate_config)
 from .errors import (CellshareError, ConfigError, ContractViolation,
                      MeasurementError, SearchSpaceError, TrainingFault)
-from .geometry import build_layout, spawn_users
+from .environment import Environment
 from .training import RunArtifacts, evaluate, run_training
 
 EXIT_OK = 0
@@ -218,16 +217,11 @@ def cmd_oracle(args) -> int:
     seed, overridden = _resolve_seed(args.seed)
     del overridden  # the snapshot seed is recorded in the CSV itself
     net_cfg = cfg.network
-    root = np.random.SeedSequence(seed)
-    users_rng, channel_rng = map(np.random.default_rng, root.spawn(2))
-    layout = build_layout(net_cfg.cells, net_cfg.inter_site_distance)
-    users = spawn_users(layout, net_cfg.users_per_cell, net_cfg.cell_radius,
-                        users_rng)
-    channels = sample_channels(layout, users, net_cfg, channel_rng)
-    codebook = beam_codebook(net_cfg.antennas, net_cfg.codebook_bits)
+    env = Environment(net_cfg, np.random.SeedSequence(seed))
+    env.reset()
     grid = oracle.default_power_grid(net_cfg, cfg.oracle.power_step_db)
-    powers, beams, rate = oracle.global_csi_search(channels, grid, codebook,
-                                                   net_cfg)
+    powers, beams, rate = oracle.global_csi_search(env.channels, grid,
+                                                   env.codebook, net_cfg)
     header: List[str] = ["seed"] + list(ORACLE_FIXED_COLUMNS)
     row: List = [seed, rate]
     for ell in range(net_cfg.cells):

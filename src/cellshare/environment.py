@@ -1,0 +1,94 @@
+"""One environment for training, greedy evaluation and the oracle.
+
+``reset`` starts an episode: fresh users and channels, powers back to
+the even split, beams matched to the new serving CSI. ``step`` applies
+one joint action per cell, checks the power budget and beam bounds,
+moves the users, evolves the channels and measures the result.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Sequence
+
+import numpy as np
+
+from . import control
+from .channel import beam_codebook, matched_beams, sample_channels
+from .config import NetworkConfig
+from .errors import ContractViolation
+from .geometry import build_layout, spawn_users, step_mobility
+from .physics import PowerTable, measure_inter_cell, received_powers, sinr
+
+
+@dataclass
+class StepResult:
+    table: PowerTable       # true received powers after the step, mW
+    sinr: np.ndarray        # (L, U) linear SINR reports
+    estimates: np.ndarray   # (L, U) measured inter-cell interference, mW
+    rewards: List[float]    # every cell's own reward
+
+
+class Environment:
+    """Users, channels, powers and beams of every cell. The first two
+    children of ``seeds`` drive the user and channel streams; a caller
+    may spawn more children for its own streams."""
+
+    def __init__(self, config: NetworkConfig,
+                 seeds: np.random.SeedSequence):
+        self.config = config
+        self.users_rng, self.channel_rng = map(np.random.default_rng,
+                                               seeds.spawn(2))
+        self.codebook = beam_codebook(config.antennas, config.codebook_bits)
+        self.layout = build_layout(config.cells, config.inter_site_distance)
+
+    def reset(self) -> None:
+        cfg = self.config
+        self.users = spawn_users(self.layout, cfg.users_per_cell,
+                                 cfg.cell_radius, self.users_rng)
+        self.channels = sample_channels(self.layout, self.users, cfg,
+                                        self.channel_rng)
+        self.powers_dbm = np.tile(control.initial_powers_dbm(cfg),
+                                  (cfg.cells, 1))
+        self.beams = matched_beams(self.channels, self.codebook)
+        self.offsets = self.users.offsets(self.layout)
+        self.sinr_history: List[np.ndarray] = []  # one (L, U) per step
+
+    def states(self) -> List[np.ndarray]:
+        """Every agent's observation of its cell's powers, beams, users."""
+        return [control.encode_state(self.powers_dbm[ell], self.beams[ell],
+                                     self.offsets[ell], self.config)
+                for ell in range(self.config.cells)]
+
+    def step(self, actions: Sequence[int]) -> StepResult:
+        """Apply one joint action per cell, then advance and measure."""
+        cfg = self.config
+        for ell, action in enumerate(actions):
+            self.powers_dbm[ell], self.beams[ell] = \
+                control.apply_joint_action(action, self.powers_dbm[ell],
+                                           self.beams[ell], cfg)
+        powers_mw = 10.0 ** (self.powers_dbm / 10.0)
+        for ell in range(cfg.cells):
+            if powers_mw[ell].sum() > cfg.max_bs_power_mw:
+                raise ContractViolation(
+                    "cell %d power budget violated: %r mW" %
+                    (ell, powers_mw[ell].sum()))
+        if np.any(self.beams < 0) or np.any(self.beams >= cfg.codebook_size):
+            raise ContractViolation("beam index left the codebook")
+
+        self.users = step_mobility(self.users, self.layout, cfg,
+                                   self.users_rng)
+        self.channels = sample_channels(self.layout, self.users, cfg,
+                                        self.channel_rng, prev=self.channels)
+        table = received_powers(self.channels, powers_mw, self.beams,
+                                self.codebook)
+        gammas = sinr(table, cfg.noise_mw)
+        estimates = measure_inter_cell(gammas, powers_mw, self.beams,
+                                       self.channels, cfg.noise_mw,
+                                       self.codebook)
+        rewards = [control.reward(gammas[ell], estimates[ell], cfg.min_sinr,
+                                  cfg.interference_threshold_mw,
+                                  cfg.punishment) for ell in range(cfg.cells)]
+        self.offsets = self.users.offsets(self.layout)
+        self.sinr_history.append(gammas)
+        return StepResult(table, gammas, estimates, rewards)

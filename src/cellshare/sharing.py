@@ -1,4 +1,5 @@
-"""Experience-sharing policies and the communication-overhead ledger.
+"""Experience-sharing policies, the framework table and the
+communication-overhead ledger.
 
 Five frameworks are supported by the trainer:
 
@@ -12,6 +13,13 @@ Five frameworks are supported by the trainer:
 * ``ctde``           one central network trained on a pooled buffer whose
                      weights are broadcast back to the acting agents.
 
+``BEHAVIOUR`` holds each one as data for the trainer: the rewards its
+agents train on, the share rule that picks a step's packets (None: no
+exchange), whether one central learner trains on every cell's rows
+(its weights broadcast by ``ctde_sync``) or each agent trains its own,
+and the (experiences, scalars) the ledger charges a cell per step.
+``FRAMEWORKS`` lists the names in order.
+
 The ledger counts plain scalars so experience packets, CRDU reward
 broadcasts and CTDE weight pushes stay comparable.
 """
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +36,6 @@ from .errors import ContractViolation
 from .qnet import QNetwork
 from .replay import Experience, ReplayBuffer, experience_scalars
 
-FRAMEWORKS = ("smart", "share-all", "share-nothing", "crdu", "ctde")
 ATTRIBUTION_MODES = ("measured", "genie")
 
 
@@ -86,11 +93,6 @@ class OverheadLedger:
             raise ContractViolation("ledger is empty")
         zero = sum(1 for row in self.rows if row[2] == 0 and row[3] == 0)
         return zero / len(self.rows)
-
-
-def share_nothing(experiences_by_cell: Sequence[Sequence[Experience]],
-                  step: int) -> List[SharePacket]:
-    return []
 
 
 def share_all(experiences_by_cell: Sequence[Sequence[Experience]],
@@ -186,20 +188,55 @@ def ctde_sync(central: QNetwork, agent_nets: Sequence[QNetwork],
     return scalars
 
 
-@dataclass
-class OverheadReport:
-    zero_share_fraction: float
-    experiences_total: int
-    scalars_total: int
-    shared_count_histogram: Dict[int, int]
+@dataclass(frozen=True)
+class Framework:
+    """One ``BEHAVIOUR`` entry; see the module docstring."""
+
+    rewards: Callable[[List[float], float], List[float]]
+    share: Optional[Callable[..., List[SharePacket]]]
+    central: bool
+    cost: Callable[[OverheadLedger, int], Tuple[int, int]]
 
 
-def overhead_report(ledger: OverheadLedger) -> OverheadReport:
-    """Zero-share fraction and the per-(step, agent) count distribution."""
-    hist: Dict[int, int] = dict(Counter(row[2] for row in ledger.rows))
-    return OverheadReport(
-        zero_share_fraction=ledger.zero_share_fraction(),
-        experiences_total=ledger.experiences_total,
-        scalars_total=ledger.scalars_total,
-        shared_count_histogram=hist,
-    )
+# The table's functions reach the share rules and crdu_reward through
+# this module's names at call time, so a wrapper installed on those
+# names (a tracer, a test double) sees every call the trainer makes.
+def _own(cell_rewards, punishment):
+    return cell_rewards
+
+
+def _common(cell_rewards, punishment):
+    return [crdu_reward(cell_rewards, punishment)] * len(cell_rewards)
+
+
+def _smart(rows, estimates_mw, per_source_mw, threshold_mw, mode, step):
+    return smart_select(rows, estimates_mw, per_source_mw, threshold_mw,
+                        mode, step)
+
+
+def _all(rows, estimates_mw, per_source_mw, threshold_mw, mode, step):
+    return share_all(rows, step)
+
+
+def _sent(ledger, sent):
+    return sent, ledger.add_experience_scalars(sent)
+
+
+def _reward_scalar(ledger, sent):
+    return 0, ledger.add_reward_scalars(1)
+
+
+def _uploads(ledger, sent):
+    users = ledger.users_per_cell
+    return users, ledger.add_experience_scalars(users)
+
+
+BEHAVIOUR: Dict[str, Framework] = {
+    #                          rewards  share   central cost
+    "smart":         Framework(_own,    _smart, False,  _sent),
+    "share-all":     Framework(_own,    _all,   False,  _sent),
+    "share-nothing": Framework(_own,    None,   False,  _sent),
+    "crdu":          Framework(_common, None,   False,  _reward_scalar),
+    "ctde":          Framework(_own,    None,   True,   _uploads),
+}
+FRAMEWORKS = tuple(BEHAVIOUR)

@@ -2,42 +2,45 @@
 greedy evaluation rollouts and run artifacts.
 
 Every step has three strictly ordered phases: all agents observe and
-act, then all sharing packets are materialized and delivered (the
-barrier), then every agent takes at most one gradient step. Gradient
-steps are globally gated until every buffer holds a full minibatch.
+act, then the framework's share rule picks the step's packets and they
+are delivered (the barrier), then every learner takes at most one
+gradient step. Gradient steps are globally gated until every buffer
+holds a full minibatch. What differs between frameworks (the training
+reward, the share rule, the learners, the ledger cost) comes from
+``sharing.BEHAVIOUR``; the environment advance is ``Environment.step``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import control, sharing
-from .channel import (ChannelSet, Codebook, beam_codebook, matched_beams,
-                      sample_channels)
 from .config import RunConfig, validate_config
+from .environment import Environment
 from .errors import ContractViolation, TrainingFault
-from .geometry import CellLayout, build_layout, spawn_users, step_mobility
 from .metrics import MetricsLog, StepRow, network_sum_rate
-from .physics import measure_inter_cell, received_powers, sinr
 from .qnet import QNetwork, select_action, train_step
 from .replay import Experience, ReplayBuffer
-from .sharing import (OverheadLedger, ctde_sync, crdu_reward, deliver,
-                      share_all, share_nothing, smart_select)
+from .sharing import OverheadLedger
 
 
-@dataclass
-class Agent:
-    cell: int
-    net: QNetwork
-    target: QNetwork
-    buffer: ReplayBuffer
-    action_rng: np.random.Generator
-    sample_rng: np.random.Generator
-    train_steps: int = 0
+class Learner:
+    """A network under training with its target copy, replay buffer and
+    minibatch stream, plus the cells whose rows it stores and whose
+    loss it reports."""
+
+    def __init__(self, net: QNetwork, sample_rng: np.random.Generator,
+                 cells: Sequence[int], capacity: int):
+        self.net = net
+        self.target = net.copy()
+        self.buffer = ReplayBuffer(capacity)
+        self.sample_rng = sample_rng
+        self.cells = cells
+        self.train_steps = 0
 
 
 @dataclass
@@ -58,33 +61,25 @@ class RunArtifacts:
     events: Optional[List[tuple]] = None
 
 
-def _spawn_rngs(seed: int, cells: int):
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(2 + 3 * cells + 2)
-    users_rng = np.random.default_rng(children[0])
-    channel_rng = np.random.default_rng(children[1])
-    agent_streams = []
-    for ell in range(cells):
-        agent_streams.append((
-            np.random.default_rng(children[2 + 3 * ell]),      # init
-            np.random.default_rng(children[3 + 3 * ell]),      # action
-            np.random.default_rng(children[4 + 3 * ell]),      # sampling
-        ))
-    central_init = np.random.default_rng(children[2 + 3 * cells])
-    central_sample = np.random.default_rng(children[3 + 3 * cells])
-    return users_rng, channel_rng, agent_streams, central_init, central_sample
+def _log_step(log: MetricsLog, episode: int, t: int, gammas: np.ndarray,
+              rewards: Sequence[float], losses: Sequence[float],
+              epsilon: float, sent: Sequence[int],
+              received: Sequence[int]) -> None:
+    for ell in range(len(rewards)):
+        log.add_step(StepRow(
+            episode=episode, step=t, agent=ell, reward=rewards[ell],
+            sinrs=tuple(float(g) for g in gammas[ell]),
+            loss=losses[ell], epsilon=epsilon,
+            shared_tx=sent[ell], shared_rx=received[ell]))
 
 
-def _check_invariants(powers_dbm: np.ndarray, beams: np.ndarray,
-                      config) -> None:
-    powers_mw = 10.0 ** (powers_dbm / 10.0)
-    for ell in range(powers_dbm.shape[0]):
-        if powers_mw[ell].sum() > config.max_bs_power_mw:
-            raise ContractViolation(
-                "cell %d power budget violated: %r mW" %
-                (ell, powers_mw[ell].sum()))
-    if np.any(beams < 0) or np.any(beams >= config.codebook_size):
-        raise ContractViolation("beam index left the codebook")
+def _log_episode(log: MetricsLog, episode: int,
+                 step_sinrs: List[np.ndarray], mode: str) -> None:
+    if mode == "mean":
+        rate = float(np.mean([network_sum_rate(g) for g in step_sinrs]))
+    else:
+        rate = network_sum_rate(step_sinrs[-1])
+    log.add_episode(episode, step_sinrs[-1], rate)
 
 
 def run_training(cfg: RunConfig, framework: str, seed: int,
@@ -94,110 +89,68 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
         raise ContractViolation("unknown framework %r (expected one of %s)"
                                 % (framework, ", ".join(sharing.FRAMEWORKS)))
     validate_config(cfg)
+    behaviour = sharing.BEHAVIOUR[framework]
     net_cfg, tr_cfg, sh_cfg = cfg.network, cfg.training, cfg.sharing
     L = net_cfg.cells
     U = net_cfg.users_per_cell
+    T = tr_cfg.steps_per_episode
     state_len = control.state_size(U)
     n_actions = control.action_space_size(U)
 
-    users_rng, channel_rng, agent_streams, central_init, central_sample = \
-        _spawn_rngs(seed, L)
-
-    codebook = beam_codebook(net_cfg.antennas, net_cfg.codebook_bits)
-    layout = build_layout(L, net_cfg.inter_site_distance)
+    root = np.random.SeedSequence(seed)
+    env = Environment(net_cfg, root)
+    # per cell: init, action, sampling; then the central init and sampling
+    streams = [np.random.default_rng(s) for s in root.spawn(3 * L + 2)]
+    action_rngs = streams[1:3 * L:3]
 
     central: Optional[QNetwork] = None
-    central_target: Optional[QNetwork] = None
-    central_buffer: Optional[ReplayBuffer] = None
-    central_train_steps = 0
-
-    agents: List[Agent] = []
-    if framework == "ctde":
-        central = QNetwork(state_len, n_actions, rng=central_init)
-        central_target = central.copy()
-        central_buffer = ReplayBuffer(tr_cfg.buffer_capacity)
-        for ell in range(L):
-            _init, action_rng, sample_rng = agent_streams[ell]
-            agents.append(Agent(ell, central.copy(), central.copy(),
-                                ReplayBuffer(tr_cfg.buffer_capacity),
-                                action_rng, sample_rng))
+    if behaviour.central:
+        central = QNetwork(state_len, n_actions, rng=streams[3 * L])
+        learners = [Learner(central, streams[3 * L + 1], range(L),
+                            tr_cfg.buffer_capacity)]
+        agent_nets = [central.copy() for _ in range(L)]
     else:
-        for ell in range(L):
-            init_rng, action_rng, sample_rng = agent_streams[ell]
-            net = QNetwork(state_len, n_actions, rng=init_rng)
-            agents.append(Agent(ell, net, net.copy(),
-                                ReplayBuffer(tr_cfg.buffer_capacity),
-                                action_rng, sample_rng))
+        learners = [Learner(QNetwork(state_len, n_actions,
+                                     rng=streams[3 * ell]),
+                            streams[3 * ell + 2], (ell,),
+                            tr_cfg.buffer_capacity)
+                    for ell in range(L)]
+        agent_nets = [learner.net for learner in learners]
+    # indexed by cell: the buffer a cell's own and received rows go to
+    buffers = [learner.buffer for learner in learners
+               for _cell in learner.cells]
 
     log = MetricsLog()
     ledger = OverheadLedger(users_per_cell=U)
     events: Optional[List[tuple]] = [] if record_events else None
     artifacts = RunArtifacts(framework=framework, seed=seed, config=cfg,
-                             log=log, ledger=ledger,
-                             agent_nets=[a.net for a in agents],
+                             log=log, ledger=ledger, agent_nets=agent_nets,
                              central_net=central, events=events)
 
     epsilon = tr_cfg.epsilon_start
 
     try:
         for episode in range(tr_cfg.episodes):
-            # each episode: fresh users and channels, powers back to the
-            # even split, beams re-trained against the new serving CSI
-            users = spawn_users(layout, U, net_cfg.cell_radius, users_rng)
-            channels = sample_channels(layout, users, net_cfg, channel_rng)
-            powers_dbm = np.tile(control.initial_powers_dbm(net_cfg), (L, 1))
-            beams = matched_beams(channels, codebook)
-            offsets = users.offsets(layout)
-            states = [control.encode_state(powers_dbm[ell], beams[ell],
-                                           offsets[ell], net_cfg)
-                      for ell in range(L)]
-            step_sinrs: List[np.ndarray] = []
+            env.reset()
+            states = env.states()
 
-            for t in range(tr_cfg.steps_per_episode):
-                step_idx = episode * tr_cfg.steps_per_episode + t
+            for t in range(T):
+                step_idx = episode * T + t
 
-                # --- act -------------------------------------------------
-                actions = []
-                for agent in agents:
-                    a = select_action(agent.net, states[agent.cell], epsilon,
-                                      agent.action_rng)
-                    actions.append(a)
-                    if events is not None:
-                        events.append(("act", step_idx, agent.cell))
-                for ell in range(L):
-                    powers_dbm[ell], beams[ell] = control.apply_joint_action(
-                        actions[ell], powers_dbm[ell], beams[ell], net_cfg)
-                _check_invariants(powers_dbm, beams, net_cfg)
+                # --- act and advance ------------------------------------
+                actions = [select_action(agent_nets[ell], states[ell],
+                                         epsilon, action_rngs[ell])
+                           for ell in range(L)]
+                if events is not None:
+                    events.extend(("act", step_idx, ell) for ell in range(L))
+                result = env.step(actions)
 
-                # --- environment advance ---------------------------------
-                users = step_mobility(users, layout, net_cfg, users_rng)
-                channels = sample_channels(layout, users, net_cfg,
-                                           channel_rng, prev=channels)
-                powers_mw = 10.0 ** (powers_dbm / 10.0)
-                table = received_powers(channels, powers_mw, beams, codebook)
-                gammas = sinr(table, net_cfg.noise_mw)
-                estimates = measure_inter_cell(
-                    gammas, powers_mw, beams, channels, net_cfg.noise_mw,
-                    codebook)
-                step_sinrs.append(gammas.copy())
-
-                cell_rewards = [control.reward(
-                    gammas[ell], estimates[ell], net_cfg.min_sinr,
-                    net_cfg.interference_threshold_mw, net_cfg.punishment)
-                    for ell in range(L)]
-                if not all(math.isfinite(r) for r in cell_rewards):
+                if not all(math.isfinite(r) for r in result.rewards):
                     raise TrainingFault("non-finite reward at step %d"
                                         % step_idx)
-                if framework == "crdu":
-                    common = crdu_reward(cell_rewards, net_cfg.punishment)
-                    train_rewards = [common] * L
-                else:
-                    train_rewards = cell_rewards
-
-                new_offsets = users.offsets(layout)
-                next_states = [control.encode_state(
-                    powers_dbm[ell], beams[ell], new_offsets[ell], net_cfg)
-                    for ell in range(L)]
+                train_rewards = behaviour.rewards(result.rewards,
+                                                  net_cfg.punishment)
+                next_states = env.states()
 
                 # --- store -----------------------------------------------
                 experiences: List[List[Experience]] = []
@@ -209,123 +162,73 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                         reward=train_rewards[ell], next_state=next_states[ell],
                         cell=ell, user=u, step=step_idx) for u in range(U)]
                     experiences.append(rows)
-                    target_buffer = central_buffer \
-                        if framework == "ctde" else agents[ell].buffer
                     for row in rows:
-                        target_buffer.insert(row, received=False)
+                        buffers[ell].insert(row, received=False)
                     if events is not None:
                         events.append(("store", step_idx, ell))
 
-                for ell in range(L):
-                    for u in range(U):
-                        artifacts.interference_log.append(
-                            (episode, t, ell, u, float(estimates[ell, u])))
+                artifacts.interference_log.extend(
+                    (episode, t, ell, u, float(est))
+                    for (ell, u), est in np.ndenumerate(result.estimates))
 
                 # --- sharing barrier -------------------------------------
                 packets = []
-                if framework == "smart":
-                    packets = smart_select(
-                        experiences, estimates, table.inter_by_source,
+                if behaviour.share is not None:
+                    packets = behaviour.share(
+                        experiences, result.estimates,
+                        result.table.inter_by_source,
                         net_cfg.interference_threshold_mw,
                         sh_cfg.attribution, step_idx)
-                elif framework == "share-all":
-                    packets = share_all(experiences, step_idx)
-                elif framework == "share-nothing":
-                    packets = share_nothing(experiences, step_idx)
-                sent = deliver(packets, [a.buffer for a in agents])
-                received: Dict[int, int] = {}
+                sent = sharing.deliver(packets, buffers)
+                received = [0] * L
                 for packet in packets:
-                    received[packet.receiver] = \
-                        received.get(packet.receiver, 0) + \
-                        len(packet.experiences)
+                    received[packet.receiver] += len(packet.experiences)
                     if events is not None:
                         events.append(("deliver", step_idx, packet.sender,
                                        packet.receiver,
                                        len(packet.experiences)))
 
-                per_agent_exp = [0] * L
-                per_agent_scalars = [0] * L
-                if framework in ("smart", "share-all", "share-nothing"):
-                    for ell in range(L):
-                        count = sent.get(ell, 0)
-                        per_agent_exp[ell] = count
-                        per_agent_scalars[ell] = \
-                            ledger.add_experience_scalars(count)
-                elif framework == "crdu":
-                    for ell in range(L):
-                        per_agent_scalars[ell] = ledger.add_reward_scalars(1)
-                elif framework == "ctde":
-                    for ell in range(L):
-                        per_agent_exp[ell] = U
-                        per_agent_scalars[ell] = \
-                            ledger.add_experience_scalars(U)
+                charged = [behaviour.cost(ledger, sent.get(ell, 0))
+                           for ell in range(L)]
+                per_agent_exp = [c[0] for c in charged]
+                per_agent_scalars = [c[1] for c in charged]
 
                 # --- train -----------------------------------------------
                 losses = [math.nan] * L
-                if framework == "ctde":
-                    assert central is not None and central_buffer is not None
-                    if len(central_buffer) >= tr_cfg.batch_size:
-                        batch = central_buffer.sample(tr_cfg.batch_size,
-                                                      central_sample)
-                        loss = train_step(central, central_target, batch,
+                if all(len(learner.buffer) >= tr_cfg.batch_size
+                       for learner in learners):
+                    for learner in learners:
+                        batch = learner.buffer.sample(tr_cfg.batch_size,
+                                                      learner.sample_rng)
+                        loss = train_step(learner.net, learner.target, batch,
                                           tr_cfg.discount,
                                           tr_cfg.learning_rate)
-                        central_train_steps += 1
+                        learner.train_steps += 1
                         artifacts.train_step_count += 1
-                        if central_train_steps \
+                        if learner.train_steps \
                                 % tr_cfg.target_refresh_steps == 0:
-                            central_target.load_from(central)
-                        losses = [loss] * L
+                            learner.target.load_from(learner.net)
+                        for cell in learner.cells:
+                            losses[cell] = loss
                         if events is not None:
-                            events.append(("train", step_idx, -1))
-                    if (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
-                        scalars = ctde_sync(central, [a.net for a in agents],
-                                            ledger)
-                        per_cell = scalars // L
-                        for ell in range(L):
-                            per_agent_scalars[ell] += per_cell
-                        if events is not None:
-                            events.append(("sync", step_idx))
-                else:
-                    warm = all(len(a.buffer) >= tr_cfg.batch_size
-                               for a in agents)
-                    if warm:
-                        for agent in agents:
-                            batch = agent.buffer.sample(tr_cfg.batch_size,
-                                                        agent.sample_rng)
-                            if batch is None:
-                                continue
-                            loss = train_step(agent.net, agent.target, batch,
-                                              tr_cfg.discount,
-                                              tr_cfg.learning_rate)
-                            agent.train_steps += 1
-                            artifacts.train_step_count += 1
-                            if agent.train_steps \
-                                    % tr_cfg.target_refresh_steps == 0:
-                                agent.target.load_from(agent.net)
-                            losses[agent.cell] = loss
-                            if events is not None:
-                                events.append(("train", step_idx, agent.cell))
+                            events.append(("train", step_idx,
+                                           -1 if central else
+                                           learner.cells[0]))
+                if central is not None and \
+                        (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
+                    per_cell = sharing.ctde_sync(central, agent_nets,
+                                                 ledger) // L
+                    for ell in range(L):
+                        per_agent_scalars[ell] += per_cell
+                    if events is not None:
+                        events.append(("sync", step_idx))
 
                 ledger.record_step(step_idx, per_agent_exp, per_agent_scalars)
-                for ell in range(L):
-                    log.add_step(StepRow(
-                        episode=episode, step=t, agent=ell,
-                        reward=train_rewards[ell],
-                        sinrs=tuple(float(g) for g in gammas[ell]),
-                        loss=losses[ell], epsilon=epsilon,
-                        shared_tx=per_agent_exp[ell],
-                        shared_rx=received.get(ell, 0)))
-
+                _log_step(log, episode, t, result.sinr, train_rewards, losses,
+                          epsilon, per_agent_exp, received)
                 states = next_states
-                offsets = new_offsets
 
-            if tr_cfg.sumrate_mode == "mean":
-                rate = float(np.mean([network_sum_rate(g)
-                                      for g in step_sinrs]))
-            else:
-                rate = network_sum_rate(step_sinrs[-1])
-            log.add_episode(episode, step_sinrs[-1], rate)
+            _log_episode(log, episode, env.sinr_history, tr_cfg.sumrate_mode)
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
         raise TrainingFault(str(fault), artifacts=artifacts) from fault
@@ -338,57 +241,22 @@ def evaluate(nets: Sequence[QNetwork], cfg: RunConfig, eval_episodes: int,
              seed: int) -> MetricsLog:
     """Greedy rollouts: no exploration, no learning, no sharing."""
     validate_config(cfg)
-    net_cfg, tr_cfg = cfg.network, cfg.training
+    net_cfg = cfg.network
     L = net_cfg.cells
-    U = net_cfg.users_per_cell
     if len(nets) != L:
         raise ContractViolation("need one network per cell")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(2)
-    users_rng = np.random.default_rng(children[0])
-    channel_rng = np.random.default_rng(children[1])
-    codebook = beam_codebook(net_cfg.antennas, net_cfg.codebook_bits)
-    layout = build_layout(L, net_cfg.inter_site_distance)
+    env = Environment(net_cfg, np.random.SeedSequence(seed))
     log = MetricsLog()
     dummy_rng = np.random.default_rng(0)  # never consumed at epsilon=0
 
     for episode in range(eval_episodes):
-        users = spawn_users(layout, U, net_cfg.cell_radius, users_rng)
-        channels = sample_channels(layout, users, net_cfg, channel_rng)
-        powers_dbm = np.tile(control.initial_powers_dbm(net_cfg), (L, 1))
-        beams = matched_beams(channels, codebook)
-        offsets = users.offsets(layout)
-        step_sinrs: List[np.ndarray] = []
-        for t in range(tr_cfg.steps_per_episode):
-            for ell in range(L):
-                state = control.encode_state(powers_dbm[ell], beams[ell],
-                                             offsets[ell], net_cfg)
-                action = select_action(nets[ell], state, 0.0, dummy_rng)
-                powers_dbm[ell], beams[ell] = control.apply_joint_action(
-                    action, powers_dbm[ell], beams[ell], net_cfg)
-            _check_invariants(powers_dbm, beams, net_cfg)
-            users = step_mobility(users, layout, net_cfg, users_rng)
-            channels = sample_channels(layout, users, net_cfg, channel_rng,
-                                       prev=channels)
-            powers_mw = 10.0 ** (powers_dbm / 10.0)
-            table = received_powers(channels, powers_mw, beams, codebook)
-            gammas = sinr(table, net_cfg.noise_mw)
-            estimates = measure_inter_cell(gammas, powers_mw, beams, channels,
-                                           net_cfg.noise_mw, codebook)
-            step_sinrs.append(gammas.copy())
-            offsets = users.offsets(layout)
-            for ell in range(L):
-                rew = control.reward(gammas[ell], estimates[ell],
-                                     net_cfg.min_sinr,
-                                     net_cfg.interference_threshold_mw,
-                                     net_cfg.punishment)
-                log.add_step(StepRow(
-                    episode=episode, step=t, agent=ell, reward=rew,
-                    sinrs=tuple(float(g) for g in gammas[ell]),
-                    loss=math.nan, epsilon=0.0, shared_tx=0, shared_rx=0))
-        if tr_cfg.sumrate_mode == "mean":
-            rate = float(np.mean([network_sum_rate(g) for g in step_sinrs]))
-        else:
-            rate = network_sum_rate(step_sinrs[-1])
-        log.add_episode(episode, step_sinrs[-1], rate)
+        env.reset()
+        for t in range(cfg.training.steps_per_episode):
+            states = env.states()
+            result = env.step([select_action(nets[ell], states[ell], 0.0,
+                                             dummy_rng) for ell in range(L)])
+            _log_step(log, episode, t, result.sinr, result.rewards,
+                      [math.nan] * L, 0.0, [0] * L, [0] * L)
+        _log_episode(log, episode, env.sinr_history,
+                     cfg.training.sumrate_mode)
     return log

@@ -1,7 +1,11 @@
 """Config parsing, validation, unit conversion and round trips."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellshare.config import (db_to_linear, dbm_to_mw, default_config,
                               dump_config, linear_to_db, mw_to_dbm,
@@ -136,3 +140,68 @@ def test_dump_parse_round_trip():
     cfg.training.sumrate_mode = "mean"
     again = parse_config(dump_config(cfg))
     assert resolved_dict(again) == resolved_dict(cfg)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_values(draw):
+    """A value for every schema key, each drawn from its valid range."""
+    users = draw(st.integers(1, 8))
+    min_ue = draw(_floats(-60.0, 30.0))
+    # the budget must exceed the floor and carry every user at the floor
+    headroom = draw(_floats(0.01, 40.0))
+    batch = draw(st.integers(1, 512))
+    return {
+        "network": {
+            "cells": draw(st.integers(1, 64)),
+            "users_per_cell": users,
+            "antennas": draw(st.integers(1, 64)),
+            "codebook_bits": draw(st.integers(1, 8)),
+            "cell_radius_m": draw(_floats(1e-3, 1e4)),
+            "inter_site_distance_m": draw(_floats(1e-3, 1e4)),
+            "carrier_freq_hz": draw(_floats(1e6, 1e12)),
+            "ue_speed_mps": draw(_floats(0.0, 100.0)),
+            "step_duration_s": draw(_floats(1e-9, 10.0)),
+            "pathloss_exponent": draw(_floats(1e-3, 10.0)),
+            "paths": draw(st.integers(1, 64)),
+            "noise_power_dbm": draw(_floats(-200.0, 50.0)),
+            "max_bs_power_dbm": min_ue + 10.0 * math.log10(users) + headroom,
+            "min_ue_power_dbm": min_ue,
+            "min_sinr_db": draw(_floats(-50.0, 50.0)),
+            "interference_threshold_dbm": draw(_floats(-250.0, 50.0)),
+            "punishment": draw(_floats(1e-6, 1e6)),
+        },
+        "training": {
+            "episodes": draw(st.integers(1, 10 ** 6)),
+            "steps_per_episode": draw(st.integers(1, 10 ** 6)),
+            "learning_rate": draw(_floats(0.0, 10.0)),
+            "discount": draw(_floats(0.0, 0.999999)),
+            "batch_size": batch,
+            "buffer_capacity": draw(st.integers(batch, 10 ** 7)),
+            "epsilon_start": draw(_floats(0.0, 1.0)),
+            "epsilon_decay": draw(_floats(1e-6, 1.0)),
+            "epsilon_min": draw(_floats(0.0, 1.0)),
+            "target_refresh_steps": draw(st.integers(1, 10 ** 6)),
+            "eval_episodes": draw(st.integers(1, 10 ** 6)),
+            "sumrate_mode": draw(st.sampled_from(("final", "mean"))),
+        },
+        "sharing": {
+            "attribution": draw(st.sampled_from(("measured", "genie"))),
+            "ctde_sync_period": draw(st.integers(1, 10 ** 6)),
+        },
+        "oracle": {"power_step_db": draw(_floats(1e-3, 100.0))},
+    }
+
+
+@given(_valid_values())
+def test_dump_parse_round_trip_of_any_valid_config(values):
+    text = "".join("[%s]\n" % section + "".join(
+        "%s = %s\n" % (key, value) for key, value in keys.items())
+        for section, keys in values.items())
+    cfg = parse_config(text)
+    # resolved_dict lists every key, so this also shows none was missed
+    assert resolved_dict(cfg) == values
+    assert parse_config(dump_config(cfg)) == cfg

@@ -27,6 +27,9 @@ COMPARE_DIGEST = \
 # `cellshare train --framework smart` with genie attribution
 GENIE_DIGEST = \
     "b18b3dea2d897d06ccd7b08085b7c628cd9099d09b0623126ffc8a62c68b496f"
+# `cellshare train --framework share-all` on three cells
+THREE_CELL_DIGEST = \
+    "e19064fbf20b16a10a6e9598ae6b114617f83d038599d6259c7dddb9dfe9451a"
 # `cellshare oracle` on two cells with one user each
 ORACLE_DIGEST = \
     "c1d8ace5fc2e80292f20f8468096aa55b4c903754626a24f8c1e8343f2ebe049"
@@ -85,6 +88,20 @@ def test_genie_smart_run_is_pinned(tmp_path):
                  "--framework", "smart", "--seed", "3", "--out", str(out)])
     assert code == EXIT_OK
     assert _tree_digest(out) == GENIE_DIGEST
+
+
+def test_three_cell_share_all_run_is_pinned(tmp_path):
+    # with two cells every buffer hears from one sender, and the rows of
+    # one cell-step are interchangeable for the loss, so only a third
+    # cell makes the order of deliveries between senders show
+    cfg = _short_desk_config()
+    cfg.network.cells = 3
+    out = tmp_path / "three"
+    code = main(["train", "--config", _config_file(tmp_path, cfg),
+                 "--framework", "share-all", "--seed", "3",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert _tree_digest(out) == THREE_CELL_DIGEST
 
 
 def test_oracle_csv_is_pinned(tmp_path):

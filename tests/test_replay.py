@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellshare.errors import ContractViolation
 from cellshare.replay import Experience, ReplayBuffer, experience_scalars
@@ -29,6 +31,15 @@ def test_fifo_eviction_order():
     assert [e.step for e in buf.oldest_first()] == [3, 4, 5, 6, 7]
     buf.insert(_exp(8))
     assert [e.step for e in buf.oldest_first()] == [4, 5, 6, 7, 8]
+
+
+@given(st.integers(0, 200), st.integers(1, 50))
+def test_oldest_first_holds_the_last_inserts(n, capacity):
+    buf = ReplayBuffer(capacity)
+    for tag in range(n):
+        buf.insert(_exp(tag))
+    kept = min(n, capacity)
+    assert [e.step for e in buf.oldest_first()] == list(range(n - kept, n))
 
 
 def test_insert_counters_split_local_and_received():

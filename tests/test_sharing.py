@@ -14,9 +14,7 @@ from cellshare.sharing import (
     crdu_reward,
     ctde_sync,
     deliver,
-    overhead_report,
     share_all,
-    share_nothing,
     smart_select,
 )
 
@@ -43,10 +41,6 @@ def test_packet_guards():
         SharePacket(1, 1, [_exp(1, 0)], step=0)
     with pytest.raises(ContractViolation):
         SharePacket(0, 1, [], step=0)
-
-
-def test_share_nothing_is_empty():
-    assert share_nothing(_rows(3, 2), step=5) == []
 
 
 def test_share_all_floods_every_neighbour():
@@ -170,13 +164,3 @@ def test_ledger_totals_and_zero_share_fraction():
     with pytest.raises(ContractViolation):
         OverheadLedger(users_per_cell=3).zero_share_fraction()
 
-
-def test_overhead_report_histogram():
-    ledger = OverheadLedger(users_per_cell=3)
-    ledger.record_step(0, [2, 0], [54, 0])
-    ledger.record_step(1, [2, 1], [54, 27])
-    report = overhead_report(ledger)
-    assert report.zero_share_fraction == pytest.approx(0.25)
-    assert report.experiences_total == 5
-    assert report.scalars_total == 135
-    assert report.shared_count_histogram == {0: 1, 1: 1, 2: 2}
