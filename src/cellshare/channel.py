@@ -45,42 +45,47 @@ class Codebook:
         return self.vectors.shape[1]
 
 
-def _snap_modulus(x: float, y: float, target: float) -> complex:
-    """Nearest representable complex with float modulus exactly target.
+def _ulp_neighbours(v: np.ndarray, steps: int) -> np.ndarray:
+    """(len(v), 2*steps + 1): v, then 1 ulp up, 1 down, 2 up, 2 down..."""
+    out = [v]
+    up, dn = v, v
+    for _ in range(steps):
+        up = np.nextafter(up, np.inf)
+        dn = np.nextafter(dn, -np.inf)
+        out.extend((up, dn))
+    return np.stack(out, axis=-1)
+
+
+def _snap_modulus(x: np.ndarray, y: np.ndarray, target: float) -> np.ndarray:
+    """Nearest representable complex with float modulus exactly target,
+    for each (x, y) pair.
 
     cos/sin rounding leaves |t*exp(i*phi)| a few ulp off t; nudging the
-    components by ulps lands back on it. Falls back to the best
-    candidate if no exact neighbour exists (deep codebooks only).
+    components by up to 6 ulps lands back on it. A pair already exact is
+    kept. For the others, among the 13 x 13 candidates the exact ones
+    closest to (x, y) win; if none is exact (deep codebooks only), the
+    smallest modulus error, then the smallest distance. Ties go to the
+    first candidate in x-major order of the neighbour lists.
     """
-    if np.abs(np.complex128(complex(x, y))) == target:
-        return complex(x, y)
-    xs = [x]
-    ys = [y]
-    up, dn = x, x
-    for _ in range(6):
-        up = np.nextafter(up, np.inf)
-        dn = np.nextafter(dn, -np.inf)
-        xs.extend((up, dn))
-    up, dn = y, y
-    for _ in range(6):
-        up = np.nextafter(up, np.inf)
-        dn = np.nextafter(dn, -np.inf)
-        ys.extend((up, dn))
-    best = None
-    fallback = None
-    for xi in xs:
-        for yi in ys:
-            mod = np.abs(np.complex128(complex(xi, yi)))
-            err = abs(mod - target)
-            d = (xi - x) ** 2 + (yi - y) ** 2
-            if mod == target and (best is None or d < best[0]):
-                best = (d, xi, yi)
-            if fallback is None or err < fallback[0] or \
-                    (err == fallback[0] and d < fallback[1]):
-                fallback = (err, d, xi, yi)
-    if best is not None:
-        return complex(best[1], best[2])
-    return complex(fallback[2], fallback[3])
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real = x
+    out.imag = y
+    off = np.abs(out) != target
+    x, y = x[off], y[off]
+    grid = np.empty((len(x), 13, 13), dtype=np.complex128)
+    grid.real = _ulp_neighbours(x, 6)[:, :, None]
+    grid.imag = _ulp_neighbours(y, 6)[:, None, :]
+    grid = grid.reshape(len(x), 13 * 13)
+    mod = np.abs(grid)
+    err = np.abs(mod - target)
+    dist = (grid.real - x[:, None]) ** 2 + (grid.imag - y[:, None]) ** 2
+    exact = mod == target
+    closest_exact = np.argmin(np.where(exact, dist, np.inf), axis=1)
+    least_err = err == err.min(axis=1, keepdims=True)
+    fallback = np.argmin(np.where(least_err, dist, np.inf), axis=1)
+    pick = np.where(exact.any(axis=1), closest_exact, fallback)
+    out[off] = grid[np.arange(len(x)), pick]
+    return out
 
 
 def beam_codebook(antennas: int, bits: int) -> Codebook:
@@ -105,7 +110,8 @@ def _build_codebook(antennas: int, bits: int) -> Codebook:
     n_beams = 2 ** bits
     q = n_beams - 1
     target = 1.0 / math.sqrt(antennas)
-    vectors = np.empty((n_beams, antennas), dtype=np.complex128)
+    x = np.empty((n_beams, antennas), dtype=float)
+    y = np.empty((n_beams, antennas), dtype=float)
     phases = np.empty(n_beams, dtype=float)
     for n in range(n_beams):
         phases[n] = n * math.pi / q
@@ -114,8 +120,9 @@ def _build_codebook(antennas: int, bits: int) -> Codebook:
             # full precision: angle = pi * (m*n mod 2q) / q
             k = (m * n) % (2 * q)
             ang = math.pi * k / q
-            vectors[n, m] = _snap_modulus(target * math.cos(ang),
-                                          target * math.sin(ang), target)
+            x[n, m] = target * math.cos(ang)
+            y[n, m] = target * math.sin(ang)
+    vectors = _snap_modulus(x, y, target)
     vectors.flags.writeable = False
     phases.flags.writeable = False
     return Codebook(vectors=vectors, phases=phases)

@@ -4,12 +4,19 @@ configuration search over a power/beam grid.
 Both optimize the instantaneous network sum-rate on a frozen channel
 snapshot (myopic; no lookahead) and break ties lexicographically, so
 identical inputs always produce identical outputs.
+
+Both tabulate each cell's candidates once, then score every pick of one
+candidate per cell in itertools.product order, SEARCH_CHUNK picks per
+batched received_powers call. Within a chunk argmax keeps the first
+maximum, and a later chunk replaces the best only with a strictly
+larger rate, so the result is the first strict maximum over the whole
+space whatever the chunk size, and each rate equals
+evaluate_configuration's for the same configuration bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +29,16 @@ from .physics import received_powers, sinr
 
 BRUTE_FORCE_LIMIT = 2 ** 20
 GLOBAL_SEARCH_LIMIT = 2 ** 22
+# configurations scored per received_powers call; bounds a search's
+# working set (about 10 MB at 4096) whatever the size of its space
+SEARCH_CHUNK = 4096
+
+
+def _product_rows(n: int, repeat: int) -> np.ndarray:
+    """itertools.product(range(n), repeat=repeat) as an (n**repeat,
+    repeat) index array, in the same order."""
+    return np.stack(np.unravel_index(np.arange(n ** repeat), (n,) * repeat),
+                    axis=-1)
 
 
 def evaluate_configuration(channels: ChannelSet, powers_dbm: np.ndarray,
@@ -33,16 +50,59 @@ def evaluate_configuration(channels: ChannelSet, powers_dbm: np.ndarray,
     return network_sum_rate(sinr(table, config.noise_mw))
 
 
+def _sum_rates(channels: ChannelSet, powers_mw: np.ndarray,
+               beams: np.ndarray, config: NetworkConfig,
+               codebook: Codebook) -> np.ndarray:
+    """Network sum-rate of each of B configurations: (B, L, U) -> (B,).
+
+    Each row is summed as network_sum_rate sums one configuration, so a
+    row's rate equals evaluate_configuration's bit for bit.
+    """
+    table = received_powers(channels, powers_mw, beams, codebook)
+    rates = np.log2(1.0 + sinr(table, config.noise_mw))
+    return rates.reshape(len(rates), -1).sum(axis=1)
+
+
+def _best_combination(channels: ChannelSet, cell_powers_mw: np.ndarray,
+                      cell_beams: np.ndarray, config: NetworkConfig,
+                      codebook: Codebook) -> Tuple[Tuple[int, ...], float]:
+    """First strict maximum over every pick of one candidate per cell.
+
+    cell_powers_mw / cell_beams[l, i] is candidate i of cell l, (L, n, U).
+    The n**L picks are scored in itertools.product order, SEARCH_CHUNK
+    per received_powers call. Returns the picked candidate of each cell
+    and the sum-rate.
+    """
+    L, n, _ = cell_beams.shape
+    total = n ** L
+    cells = np.arange(L)
+    best: Optional[np.ndarray] = None
+    best_rate = -np.inf
+    for start in range(0, total, SEARCH_CHUNK):
+        flat = np.arange(start, min(start + SEARCH_CHUNK, total))
+        picks = np.stack(np.unravel_index(flat, (n,) * L), axis=-1)  # (B, L)
+        rates = _sum_rates(channels, cell_powers_mw[cells, picks],
+                           cell_beams[cells, picks], config, codebook)
+        k = int(np.argmax(rates))
+        if rates[k] > best_rate:
+            best_rate = rates[k]
+            best = picks[k]
+    assert best is not None
+    return tuple(int(i) for i in best), float(best_rate)
+
+
 def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
                      beams: np.ndarray, config: NetworkConfig,
                      codebook: Codebook) -> Tuple[Tuple[int, ...], float]:
     """Best one-step joint action of every agent, exhaustively.
 
     Enumerates all (2^(2U))^L combinations in lexicographic order and
-    keeps the first strict maximum of the resulting sum-rate.
+    keeps the first strict maximum of the resulting sum-rate. Each
+    agent's 2^(2U) actions are applied to its cell once.
     """
     L = config.cells
-    n_actions = control.action_space_size(config.users_per_cell)
+    U = config.users_per_cell
+    n_actions = control.action_space_size(U)
     total = n_actions ** L
     if total > BRUTE_FORCE_LIMIT:
         raise SearchSpaceError(
@@ -50,24 +110,19 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
             % (total, BRUTE_FORCE_LIMIT))
     powers_dbm = np.asarray(powers_dbm, dtype=float)
     beams = np.asarray(beams, dtype=int)
-    if powers_dbm.shape != (L, config.users_per_cell):
-        raise ContractViolation("powers must be (cells, users_per_cell)")
+    if powers_dbm.shape != (L, U) or beams.shape != (L, U):
+        raise ContractViolation(
+            "powers and beams must be (cells, users_per_cell)")
 
-    best_combo: Optional[Tuple[int, ...]] = None
-    best_rate = -np.inf
-    for combo in itertools.product(range(n_actions), repeat=L):
-        new_powers = powers_dbm.copy()
-        new_beams = beams.copy()
-        for ell, action in enumerate(combo):
-            new_powers[ell], new_beams[ell] = control.apply_joint_action(
-                action, powers_dbm[ell], beams[ell], config)
-        rate = evaluate_configuration(channels, new_powers, new_beams,
-                                      config, codebook)
-        if rate > best_rate:
-            best_rate = rate
-            best_combo = combo
-    assert best_combo is not None
-    return best_combo, float(best_rate)
+    cell_powers = np.empty((L, n_actions, U), dtype=float)
+    cell_beams = np.empty((L, n_actions, U), dtype=int)
+    for ell in range(L):
+        for action in range(n_actions):
+            cell_powers[ell, action], cell_beams[ell, action] = \
+                control.apply_joint_action(action, powers_dbm[ell],
+                                           beams[ell], config)
+    return _best_combination(channels, 10.0 ** (cell_powers / 10.0),
+                             cell_beams, config, codebook)
 
 
 def default_power_grid(config: NetworkConfig,
@@ -103,29 +158,20 @@ def global_csi_search(channels: ChannelSet, power_grid_dbm: Sequence[float],
             "configuration space %d exceeds limit %d"
             % (options ** slots, GLOBAL_SEARCH_LIMIT))
 
-    # per-cell candidate assignments that respect the budget
+    # per-cell candidate assignments that respect the budget, in the
+    # order of nested itertools.product loops over levels, then beams
     grid_mw = 10.0 ** (grid / 10.0)
-    per_cell: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for p_idx in itertools.product(range(grid.size), repeat=U):
-        if grid_mw[list(p_idx)].sum() > config.max_bs_power_mw:
-            continue
-        for b_idx in itertools.product(range(codebook.size), repeat=U):
-            per_cell.append((p_idx, b_idx))
-    if not per_cell:
+    levels = _product_rows(grid.size, U)
+    levels = levels[grid_mw[levels].sum(axis=1) <= config.max_bs_power_mw]
+    if not len(levels):
         raise ContractViolation("no feasible cell configuration on the grid")
+    beam_rows = _product_rows(codebook.size, U)
+    cell_powers = np.repeat(grid[levels], len(beam_rows), axis=0)  # (P, U)
+    cell_beams = np.tile(beam_rows, (len(levels), 1))
 
-    best: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    best_rate = -np.inf
-    powers = np.empty((L, U), dtype=float)
-    beams = np.empty((L, U), dtype=int)
-    for assignment in itertools.product(per_cell, repeat=L):
-        for ell, (p_idx, b_idx) in enumerate(assignment):
-            powers[ell] = grid[list(p_idx)]
-            beams[ell] = b_idx
-        rate = evaluate_configuration(channels, powers, beams, config,
-                                      codebook)
-        if rate > best_rate:
-            best_rate = rate
-            best = (powers.copy(), beams.copy())
-    assert best is not None
-    return best[0], best[1], float(best_rate)
+    picks, rate = _best_combination(
+        channels, np.broadcast_to(10.0 ** (cell_powers / 10.0),
+                                  (L,) + cell_powers.shape),
+        np.broadcast_to(cell_beams, (L,) + cell_beams.shape),
+        config, codebook)
+    return cell_powers[list(picks)], cell_beams[list(picks)], rate

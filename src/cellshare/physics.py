@@ -7,6 +7,12 @@ user-reported SINR out of the serving power to get total received
 power-plus-noise, and subtract the known parts. When the report comes
 from the same power/beam/channel snapshot the estimate matches the true
 aggregate to float precision.
+
+``received_powers`` and ``sinr`` take optional leading batch axes: with
+powers and beams of shape (..., L, U), every field of the PowerTable and
+the SINR carry the same leading axes, and each batch row equals the
+unbatched call on that row bit for bit. The oracle searches score many
+configurations per call this way.
 """
 
 from __future__ import annotations
@@ -23,42 +29,45 @@ from .errors import ContractViolation, MeasurementError
 class PowerTable:
     """Per-user received power decomposition, linear mW.
 
-    inter_by_source[l, u, j] is the interference user (l, u) receives
-    from BS j; the diagonal j == l is zero by definition.
+    inter_by_source[..., l, u, j] is the interference user (l, u)
+    receives from BS j; the diagonal j == l is zero by definition. The
+    leading axes "..." are the batch axes of the received_powers call.
     """
 
-    serving: np.ndarray          # (L, U)
-    intra: np.ndarray            # (L, U)
-    inter_by_source: np.ndarray  # (L, U, L)
-    inter_total: np.ndarray      # (L, U), sum over sources
-
-    @property
-    def cells(self) -> int:
-        return self.serving.shape[0]
+    serving: np.ndarray          # (..., L, U)
+    intra: np.ndarray            # (..., L, U)
+    inter_by_source: np.ndarray  # (..., L, U, L)
+    inter_total: np.ndarray      # (..., L, U), sum over sources
 
 
 def _beam_gain(channels: np.ndarray, beams: np.ndarray,
                codebook: Codebook) -> np.ndarray:
     """|h^H w|^2 for every (serving l, source j, victim u, tx user k).
 
-    channels: (L, L, U, M); beams: (L, U) codebook indices of every
-    transmit user. Returns (L, L, U, U) where the last axis is the
+    channels: (L, L, U, M); beams: (..., L, U) codebook indices of every
+    transmit user. Returns (..., L, L, U, U) where the last axis is the
     transmitting user k of source cell j.
     """
-    w = codebook.vectors[beams]          # (L, U, M)
+    w = codebook.vectors[beams]          # (..., L, U, M)
     # inner product between victim channel (l, j, u, :) and beam (j, k, :)
-    inner = np.einsum("ljum,jkm->ljuk", np.conj(channels), w)
+    inner = np.einsum("ljum,...jkm->...ljuk", np.conj(channels), w)
     return np.abs(inner) ** 2
 
 
 def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
                     beam_indices: np.ndarray, codebook: Codebook) -> PowerTable:
-    """Decompose every user's received power into serving/intra/inter."""
+    """Decompose every user's received power into serving/intra/inter.
+
+    powers_mw and beam_indices are (L, U), or (..., L, U) with the same
+    leading batch axes on both; the table then carries those axes too.
+    """
     L, Lj, U, M = channels.vectors.shape
     powers_mw = np.asarray(powers_mw, dtype=float)
     beam_indices = np.asarray(beam_indices)
-    if powers_mw.shape != (L, U) or beam_indices.shape != (L, U):
-        raise ContractViolation("powers and beam indices must be (L, U)")
+    if powers_mw.shape[-2:] != (L, U) \
+            or beam_indices.shape != powers_mw.shape:
+        raise ContractViolation(
+            "powers and beam indices must be (..., L, U) of one shape")
     if np.any(powers_mw < 0):
         raise ContractViolation("transmit powers must be non-negative")
     if np.any(beam_indices < 0) or np.any(beam_indices >= codebook.size):
@@ -66,21 +75,22 @@ def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
     if codebook.antennas != M:
         raise ContractViolation("codebook antenna count does not match channels")
 
-    gains = _beam_gain(channels.vectors, beam_indices, codebook)  # (L,L,U,U)
-    weighted = powers_mw[None, :, None, :] * gains                # P_{j,k} |.|^2
+    gains = _beam_gain(channels.vectors, beam_indices, codebook)
+    # (..., L, L, U, U): P_{j,k} |.|^2
+    weighted = powers_mw[..., None, :, None, :] * gains
 
     ell = np.arange(L)
     u = np.arange(U)
-    own = weighted[ell, ell]        # (L, U, U) same-cell contributions
-    serving = own[:, u, u].copy()   # (L, U)
+    own = weighted[..., ell, ell, :, :]  # (..., L, U, U) same-cell terms
+    serving = own[..., u, u]             # (..., L, U)
     off_diag = own.copy()
-    off_diag[:, u, u] = 0.0
-    intra = off_diag.sum(axis=2)
+    off_diag[..., u, u] = 0.0
+    intra = off_diag.sum(axis=-1)
 
-    # (L, U, L): interference on victim (l, u) from each source cell j
-    inter_by_source = np.transpose(weighted.sum(axis=3), (0, 2, 1)).copy()
-    inter_by_source[ell, :, ell] = 0.0
-    inter_total = inter_by_source.sum(axis=2)
+    # (..., L, U, L): interference on victim (l, u) from each source j
+    inter_by_source = np.swapaxes(weighted.sum(axis=-1), -1, -2).copy()
+    inter_by_source[..., ell, :, ell] = 0.0
+    inter_total = inter_by_source.sum(axis=-1)
 
     return PowerTable(serving=serving, intra=intra,
                       inter_by_source=inter_by_source,
@@ -88,7 +98,8 @@ def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
 
 
 def sinr(table: PowerTable, noise_mw: float) -> np.ndarray:
-    """Per-user SINR, linear: serving / (noise + intra + inter)."""
+    """Per-user SINR, linear: serving / (noise + intra + inter), with the
+    table's batch axes."""
     if noise_mw <= 0:
         raise ContractViolation("noise power must be positive")
     return table.serving / (noise_mw + table.intra + table.inter_total)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cellshare.config import default_config
 from cellshare.control import (
@@ -27,6 +29,15 @@ def test_action_codec_round_trips():
             commands = decode_action(index, users)
             assert len(commands) == users
             assert encode_action(commands) == index
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                min_size=1, max_size=4))
+def test_decode_inverts_encode(commands):
+    # the other direction of test_action_codec_round_trips
+    index = encode_action(commands)
+    assert 0 <= index < action_space_size(len(commands))
+    assert decode_action(index, len(commands)) == commands
 
 
 def test_decode_action_bit_layout():
@@ -100,6 +111,33 @@ def test_apply_joint_action_matches_manual_decode():
         powers, beams = apply_joint_action(index, powers, beams, cfg)
         assert np.array_equal(powers, want_powers)
         assert np.array_equal(beams, want_beams)
+
+
+@given(st.integers(1, 4), st.integers(1, 8),
+       st.floats(-10.0, 10.0), st.floats(1.0, 40.0),
+       st.data())
+def test_joint_action_keeps_cell_in_budget_and_codebook(users, bits, floor,
+                                                        headroom, data):
+    # the oracle tabulates each cell's actions on their own, relying on
+    # every action leaving a feasible cell feasible
+    cfg = default_config().network
+    cfg.users_per_cell = users
+    cfg.codebook_bits = bits
+    cfg.min_ue_power_dbm = floor
+    cfg.max_bs_power_dbm = floor + headroom
+    powers = np.array(data.draw(st.lists(
+        st.floats(floor, floor + headroom), min_size=users,
+        max_size=users)))
+    assume(np.sum(10.0 ** (powers / 10.0)) <= cfg.max_bs_power_mw)
+    beams = np.array(data.draw(st.lists(
+        st.integers(0, cfg.codebook_size - 1), min_size=users,
+        max_size=users)))
+    index = data.draw(st.integers(0, action_space_size(users) - 1))
+    new_powers, new_beams = apply_joint_action(index, powers, beams, cfg)
+    assert np.all(new_powers >= cfg.min_ue_power_dbm)
+    assert np.sum(10.0 ** (new_powers / 10.0)) <= cfg.max_bs_power_mw
+    assert np.all((new_beams >= 0) & (new_beams < cfg.codebook_size))
+    assert np.all(np.abs(new_beams - beams) <= 1)
 
 
 def test_state_layout_and_normalization():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_snapshot
 
-from cellshare import control
+from cellshare import control, oracle
 from cellshare.channel import ChannelSet, beam_codebook
 from cellshare.config import default_config
 from cellshare.errors import ContractViolation, SearchSpaceError
@@ -76,7 +76,7 @@ def test_brute_force_matches_exhaustive_reimplementation():
                 best_rate = r
                 best = (a0, a1)
     assert combo == best
-    assert rate == pytest.approx(best_rate, rel=1e-12)
+    assert rate == best_rate
 
 
 def test_brute_force_is_maximal_over_random_actions():
@@ -97,6 +97,40 @@ def test_brute_force_is_maximal_over_random_actions():
                 action, powers[ell], beams[ell], net_cfg)
         assert evaluate_configuration(channels, p, b, net_cfg,
                                       codebook) <= rate + 1e-12
+
+
+def test_chunked_searches_match_one_chunk(monkeypatch):
+    # 4096 joint actions and 2304 grid assignments: the first strict
+    # maximum must not depend on where the chunks split them
+    net_cfg = _small_net_cfg(users=3, antennas=4, bits=2, pmax=14.0)
+    net_cfg, _, _, channels, codebook = random_snapshot(
+        31, users=3, net_cfg=net_cfg)
+    powers = np.tile(control.initial_powers_dbm(net_cfg), (2, 1))
+    beams = np.tile(control.initial_beams(net_cfg), (2, 1))
+    grid_cfg = _small_net_cfg(users=2, antennas=4, bits=2, pmax=16.0)
+    grid_cfg, _, _, grid_channels, grid_codebook = random_snapshot(
+        32, users=2, net_cfg=grid_cfg)
+    grid = [10.0, 14.0, 16.0]
+
+    def searches():
+        step = brute_force_step(channels, powers, beams, net_cfg, codebook)
+        best = global_csi_search(grid_channels, grid, grid_codebook,
+                                 grid_cfg)
+        return step, best
+
+    (combo, rate), (g_powers, g_beams, g_rate) = searches()
+    monkeypatch.setattr(oracle, "SEARCH_CHUNK", 7)
+    (combo7, rate7), (g_powers7, g_beams7, g_rate7) = searches()
+    assert combo7 == combo and rate7 == rate
+    assert np.array_equal(g_powers7, g_powers)
+    assert np.array_equal(g_beams7, g_beams) and g_rate7 == g_rate
+    assert g_rate == evaluate_configuration(grid_channels, g_powers, g_beams,
+                                            grid_cfg, grid_codebook)
+    # all 4096 rates tie at 0: later chunks must not replace the first
+    silent = ChannelSet(vectors=np.zeros_like(channels.vectors),
+                        gains=channels.gains, angles=channels.angles)
+    assert brute_force_step(silent, powers, beams, net_cfg,
+                            codebook) == ((0, 0), 0.0)
 
 
 def test_search_space_guards():

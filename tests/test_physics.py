@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_snapshot
 
 from cellshare.channel import ChannelSet, beam_codebook
+from cellshare.config import default_config
 from cellshare.errors import ContractViolation, MeasurementError
 from cellshare.physics import measure_inter_cell, received_powers, sinr
 
@@ -42,6 +45,30 @@ def test_power_table_decomposition_is_complete():
                       * np.abs(inner) ** 2).sum(axis=(1, 3))
         recomposed = table.serving + table.intra + table.inter_total
         assert np.allclose(recomposed, everything, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 8),
+       st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_batched_received_powers_equal_unbatched_calls(cells, users, antennas,
+                                                      bits, batch, seed):
+    net_cfg = default_config().network
+    net_cfg.cells = cells
+    net_cfg.users_per_cell = users
+    net_cfg.antennas = antennas
+    net_cfg.codebook_bits = bits
+    net_cfg, _, _, channels, codebook = random_snapshot(seed, net_cfg=net_cfg)
+    rng = np.random.default_rng(seed)
+    controls = [_random_controls(net_cfg, rng) for _ in range(batch)]
+    powers_mw = np.stack([c[0] for c in controls])
+    beams = np.stack([c[1] for c in controls])
+    table = received_powers(channels, powers_mw, beams, codebook)
+    for b in range(batch):
+        one = received_powers(channels, powers_mw[b], beams[b], codebook)
+        for name in ("serving", "intra", "inter_by_source", "inter_total"):
+            assert np.array_equal(getattr(table, name)[b], getattr(one, name))
+    assert np.array_equal(sinr(table, net_cfg.noise_mw)[batch - 1],
+                          sinr(one, net_cfg.noise_mw))
 
 
 def test_sinr_formula():
@@ -109,6 +136,8 @@ def test_received_powers_contract_checks():
     powers_mw, beams = _random_controls(net_cfg, rng)
     with pytest.raises(ContractViolation):
         received_powers(channels, powers_mw[:, :-1], beams, codebook)
+    with pytest.raises(ContractViolation):
+        received_powers(channels, powers_mw[None], beams, codebook)
     with pytest.raises(ContractViolation):
         received_powers(channels, -powers_mw, beams, codebook)
     bad_beams = beams.copy()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellshare.errors import ContractViolation
 from cellshare.qnet import QNetwork
@@ -164,3 +166,20 @@ def test_ledger_totals_and_zero_share_fraction():
     with pytest.raises(ContractViolation):
         OverheadLedger(users_per_cell=3).zero_share_fraction()
 
+
+
+@given(st.integers(1, 5).flatmap(lambda agents: st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100)),
+             min_size=agents, max_size=agents),
+    min_size=1, max_size=20)))
+def test_ledger_identities_over_random_counts(steps):
+    ledger = OverheadLedger(users_per_cell=2)
+    for step, counts in enumerate(steps):
+        ledger.record_step(step, [c[0] for c in counts],
+                           [c[1] for c in counts])
+    rows = [counts for per_step in steps for counts in per_step]
+    assert len(ledger.rows) == len(rows)
+    assert ledger.experiences_total == sum(r[2] for r in ledger.rows)
+    assert ledger.scalars_total == sum(r[3] for r in ledger.rows)
+    zero_rows = sum(1 for n_exp, n_scal in rows if n_exp == n_scal == 0)
+    assert ledger.zero_share_fraction() == zero_rows / len(rows)
