@@ -30,6 +30,10 @@ GENIE_DIGEST = \
 # `cellshare train --framework share-all` on three cells
 THREE_CELL_DIGEST = \
     "e19064fbf20b16a10a6e9598ae6b114617f83d038599d6259c7dddb9dfe9451a"
+# the same three-cell run with buffer_capacity = 40, so every replay
+# buffer wraps many times
+WRAPPING_DIGEST = \
+    "4ab28f8f544b5f4c896a3f52edbdec5ed396290b9d49d8c626b3dd1183e5ec7a"
 # `cellshare oracle` on two cells with one user each
 ORACLE_DIGEST = \
     "c1d8ace5fc2e80292f20f8468096aa55b4c903754626a24f8c1e8343f2ebe049"
@@ -102,6 +106,21 @@ def test_three_cell_share_all_run_is_pinned(tmp_path):
                  "--out", str(out)])
     assert code == EXIT_OK
     assert _tree_digest(out) == THREE_CELL_DIGEST
+
+
+def test_wrapping_replay_run_is_pinned(tmp_path):
+    # the other runs keep buffer_capacity = 10000 and never evict; here
+    # each buffer takes 3 own and 6 received rows a step, so it wraps
+    # after five steps and the eviction order reaches the minibatches
+    cfg = _short_desk_config()
+    cfg.network.cells = 3
+    cfg.training.buffer_capacity = 40
+    out = tmp_path / "wrapping"
+    code = main(["train", "--config", _config_file(tmp_path, cfg),
+                 "--framework", "share-all", "--seed", "3",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert _tree_digest(out) == WRAPPING_DIGEST
 
 
 def test_oracle_csv_is_pinned(tmp_path):
