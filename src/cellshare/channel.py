@@ -92,7 +92,11 @@ def beam_codebook(antennas: int, bits: int) -> Codebook:
     """Progressive phase-shift codebook over [0, pi].
 
     Beam n applies phase n*pi/(2**bits - 1) between neighbouring
-    antennas; every entry has magnitude exactly 1/sqrt(antennas).
+    antennas. Every entry's magnitude is within one ulp of
+    1/sqrt(antennas), and exactly that for antennas in {1, 2, 4, 8} and
+    bits in {1, 2, 3}; a few entries of some other codebooks (6x4, 5x5,
+    10x5 among them) keep a one-ulp error that the search of
+    ``_snap_modulus`` cannot remove.
     Built once per (antennas, bits) and shared by every caller, so
     vectors and phases are read-only; copy them before changing them.
     """
@@ -126,12 +130,6 @@ def _build_codebook(antennas: int, bits: int) -> Codebook:
     vectors.flags.writeable = False
     phases.flags.writeable = False
     return Codebook(vectors=vectors, phases=phases)
-
-
-def ula_response(antennas: int, angle: float) -> np.ndarray:
-    """Half-wavelength ULA steering vector, unit norm."""
-    m = np.arange(antennas)
-    return np.exp(1j * np.pi * m * np.sin(angle)) / math.sqrt(antennas)
 
 
 def matched_beams(channels: "ChannelSet", codebook: Codebook) -> np.ndarray:

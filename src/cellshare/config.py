@@ -20,20 +20,8 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0.0:
-        raise ValueError("mw_to_dbm needs a positive power, got %r" % (mw,))
-    return 10.0 * math.log10(mw)
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("linear_to_db needs a positive ratio, got %r" % (x,))
-    return 10.0 * math.log10(x)
 
 
 @dataclass

@@ -31,12 +31,6 @@ class CellLayout:
     def cells(self) -> int:
         return self.positions.shape[0]
 
-    def cell_of(self, point: np.ndarray) -> int:
-        """Nearest-BS assignment; ties go to the lowest index."""
-        d = np.linalg.norm(self.positions - np.asarray(point, dtype=float),
-                           axis=1)
-        return int(np.argmin(d))
-
 
 def build_layout(cells: int, inter_site_distance: float) -> CellLayout:
     if cells < 1:

@@ -8,7 +8,7 @@ float64 numpy also makes runs bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class QNetwork:
         return all(np.array_equal(getattr(self, n), getattr(other, n))
                    for n in self._PARAMS)
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(p)) for p in self.parameters().values())
-
 
 def forward_batch(net: QNetwork, x: np.ndarray):
     """Batch forward pass; returns Q-values plus the backprop cache."""
@@ -114,15 +111,6 @@ def _backward(net: QNetwork, cache, dq: np.ndarray) -> Dict[str, np.ndarray]:
     return grads
 
 
-def _batch_arrays(batch: Sequence) -> Tuple[np.ndarray, ...]:
-    states = np.stack([np.asarray(e.state, dtype=float) for e in batch])
-    next_states = np.stack([np.asarray(e.next_state, dtype=float)
-                            for e in batch])
-    actions = np.array([e.action_index for e in batch], dtype=int)
-    rewards = np.array([e.reward for e in batch], dtype=float)
-    return states, actions, rewards, next_states
-
-
 def td_targets(target_net: QNetwork, rewards: np.ndarray,
                next_states: np.ndarray, alpha: float) -> np.ndarray:
     """Bootstrapped targets. Episodes are fixed length, so every
@@ -131,17 +119,19 @@ def td_targets(target_net: QNetwork, rewards: np.ndarray,
     return rewards + alpha * q_next.max(axis=1)
 
 
-def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch: Sequence,
+def loss_and_gradients(net: QNetwork, target_net: QNetwork,
+                       states: np.ndarray, actions: np.ndarray,
+                       rewards: np.ndarray, next_states: np.ndarray,
                        alpha: float):
-    """Mean squared TD error and its gradients w.r.t. net parameters."""
-    if len(batch) < 1:
+    """Mean squared TD error of the minibatch (one row per transition)
+    and its gradients w.r.t. net parameters."""
+    if len(states) < 1:
         raise ContractViolation("minibatch must contain at least one item")
-    states, actions, rewards, next_states = _batch_arrays(batch)
     if np.any(actions < 0) or np.any(actions >= net.output_size):
         raise ContractViolation("action index outside the network head")
     y = td_targets(target_net, rewards, next_states, alpha)
     q, cache = forward_batch(net, states)
-    b = len(batch)
+    b = len(states)
     rows = np.arange(b)
     taken = q[rows, actions]
     diff = y - taken
@@ -152,13 +142,15 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch: Sequence,
     return loss, grads
 
 
-def train_step(net: QNetwork, target_net: QNetwork, batch: Sequence,
-               alpha: float, eta: float) -> float:
+def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
+               actions: np.ndarray, rewards: np.ndarray,
+               next_states: np.ndarray, alpha: float, eta: float) -> float:
     """One SGD step on the minibatch; returns the pre-update loss.
 
     Parameters are updated in place: theta <- theta - eta * grad.
     """
-    loss, grads = loss_and_gradients(net, target_net, batch, alpha)
+    loss, grads = loss_and_gradients(net, target_net, states, actions,
+                                     rewards, next_states, alpha)
     if not math.isfinite(loss):
         raise TrainingFault("non-finite training loss %r" % (loss,))
     for name, grad in grads.items():

@@ -1,4 +1,4 @@
-"""Experience-sharing policies, the framework table and the
+"""Sharing policies for replay experiences, the framework table and the
 communication-overhead ledger.
 
 Five frameworks are supported by the trainer:
@@ -14,19 +14,19 @@ Five frameworks are supported by the trainer:
                      weights are broadcast back to the acting agents.
 
 ``BEHAVIOUR`` holds each one as data for the trainer: the rewards its
-agents train on, the share rule that picks a step's packets (None: no
-exchange), whether one central learner trains on every cell's rows
+agents train on, the share rule that returns a step's (sender, user,
+receiver) boolean mask of experiences to send (None: no exchange;
+never a cell to itself), whether one central learner trains on every cell's rows
 (its weights broadcast by ``ctde_sync``) or each agent trains its own,
 and the (experiences, scalars) the ledger charges a cell per step.
 ``FRAMEWORKS`` lists the names in order.
 
-The ledger counts plain scalars so experience packets, CRDU reward
+The ledger counts plain scalars so shared experiences, CRDU reward
 broadcasts and CTDE weight pushes stay comparable.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -34,23 +34,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .qnet import QNetwork
-from .replay import Experience, ReplayBuffer, experience_scalars
+from .replay import ReplayBuffer, experience_scalars
 
 ATTRIBUTION_MODES = ("measured", "genie")
-
-
-@dataclass
-class SharePacket:
-    sender: int
-    receiver: int
-    experiences: List[Experience]
-    step: int
-
-    def __post_init__(self):
-        if self.sender == self.receiver:
-            raise ContractViolation("a cell cannot share with itself")
-        if not self.experiences:
-            raise ContractViolation("empty packets are never materialized")
 
 
 @dataclass
@@ -95,72 +81,52 @@ class OverheadLedger:
         return zero / len(self.rows)
 
 
-def share_all(experiences_by_cell: Sequence[Sequence[Experience]],
-              step: int) -> List[SharePacket]:
-    """Every cell's rows to every other cell."""
-    cells = len(experiences_by_cell)
-    packets = []
-    for sender in range(cells):
-        rows = list(experiences_by_cell[sender])
-        if not rows:
-            continue
-        for receiver in range(cells):
-            if receiver != sender:
-                packets.append(SharePacket(sender, receiver, rows, step))
-    return packets
+def share_all(cells: int, users: int) -> np.ndarray:
+    """Every user's experience of every cell to every other cell."""
+    return np.repeat(~np.eye(cells, dtype=bool)[:, None, :], users, axis=1)
 
 
-def smart_select(experiences_by_cell: Sequence[Sequence[Experience]],
-                 aggregate_estimates_mw: np.ndarray,
+def smart_select(aggregate_estimates_mw: np.ndarray,
                  per_source_mw: np.ndarray | None,
-                 threshold_mw: float, mode: str,
-                 step: int) -> List[SharePacket]:
-    """Interference-gated sharing.
+                 threshold_mw: float, mode: str) -> np.ndarray:
+    """Interference-gated sharing; returns the (L, U, L) (sender, user,
+    receiver) mask.
 
     measured mode: a user whose aggregate estimated inter-cell power
-    exceeds the threshold has its row broadcast to every neighbour (one
-    SINR report cannot attribute interference to a source). genie mode:
-    the row goes only to sources whose true per-source term exceeds the
-    threshold; needs the simulator's (L, U, L) table.
+    exceeds the threshold has its experience broadcast to every
+    neighbour (one SINR report cannot attribute interference to a
+    source). genie mode: it goes only to sources whose true per-source
+    term exceeds the threshold; needs the simulator's (L, U, L) table.
     """
     if mode not in ATTRIBUTION_MODES:
         raise ContractViolation("unknown attribution mode %r" % mode)
-    cells = len(experiences_by_cell)
     aggregate = np.asarray(aggregate_estimates_mw, dtype=float)
-    packets: List[SharePacket] = []
-    for sender in range(cells):
-        rows = experiences_by_cell[sender]
-        for receiver in range(cells):
-            if receiver == sender:
-                continue
-            if mode == "measured":
-                chosen = [rows[u] for u in range(len(rows))
-                          if aggregate[sender, u] > threshold_mw]
-            else:
-                if per_source_mw is None:
-                    raise ContractViolation(
-                        "genie attribution needs the per-source table")
-                chosen = [rows[u] for u in range(len(rows))
-                          if per_source_mw[sender, u, receiver] > threshold_mw]
-            if chosen:
-                packets.append(SharePacket(sender, receiver, chosen, step))
-    return packets
+    if mode == "measured":
+        over = (aggregate > threshold_mw)[:, :, None]
+    else:
+        if per_source_mw is None:
+            raise ContractViolation(
+                "genie attribution needs the per-source table")
+        over = np.asarray(per_source_mw) > threshold_mw
+    return over & ~np.eye(len(aggregate), dtype=bool)[:, None, :]
 
 
-def deliver(packets: Sequence[SharePacket],
+def deliver(mask: np.ndarray, rows: np.ndarray,
             buffers: Sequence[ReplayBuffer]) -> Dict[int, int]:
-    """Insert all packets into receiver buffers.
+    """Insert the experiences ``mask`` selects into receiver buffers.
 
-    Packets are applied in the deterministic order they were built
-    (sender, then receiver, then user), making runs schedule
-    independent. Returns the number of experiences sent per sender.
+    ``rows[sender]`` is the sender's transition-table row for the step.
+    Each receiver takes its experiences in sender, then user order, so
+    runs are schedule independent. Returns the number of experiences
+    sent per sender that sent any.
     """
-    sent: Dict[int, int] = Counter()
-    for packet in packets:
-        for exp in packet.experiences:
-            buffers[packet.receiver].insert(exp, received=True)
-        sent[packet.sender] += len(packet.experiences)
-    return dict(sent)
+    counts = mask.sum(axis=1)  # (sender, receiver)
+    for receiver, buffer in enumerate(buffers):
+        if counts[:, receiver].any():
+            buffer.insert(np.repeat(rows, counts[:, receiver]),
+                          received=True)
+    return {sender: int(n) for sender, n in enumerate(counts.sum(axis=1))
+            if n}
 
 
 def crdu_reward(cell_rewards: Sequence[float], punishment: float) -> float:
@@ -193,7 +159,7 @@ class Framework:
     """One ``BEHAVIOUR`` entry; see the module docstring."""
 
     rewards: Callable[[List[float], float], List[float]]
-    share: Optional[Callable[..., List[SharePacket]]]
+    share: Optional[Callable[..., np.ndarray]]
     central: bool
     cost: Callable[[OverheadLedger, int], Tuple[int, int]]
 
@@ -209,13 +175,12 @@ def _common(cell_rewards, punishment):
     return [crdu_reward(cell_rewards, punishment)] * len(cell_rewards)
 
 
-def _smart(rows, estimates_mw, per_source_mw, threshold_mw, mode, step):
-    return smart_select(rows, estimates_mw, per_source_mw, threshold_mw,
-                        mode, step)
+def _smart(estimates_mw, per_source_mw, threshold_mw, mode):
+    return smart_select(estimates_mw, per_source_mw, threshold_mw, mode)
 
 
-def _all(rows, estimates_mw, per_source_mw, threshold_mw, mode, step):
-    return share_all(rows, step)
+def _all(estimates_mw, per_source_mw, threshold_mw, mode):
+    return share_all(*estimates_mw.shape)
 
 
 def _sent(ledger, sent):

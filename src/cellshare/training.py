@@ -2,10 +2,12 @@
 greedy evaluation rollouts and run artifacts.
 
 Every step has three strictly ordered phases: all agents observe and
-act, then the framework's share rule picks the step's packets and they
-are delivered (the barrier), then every learner takes at most one
-gradient step. Gradient steps are globally gated until every buffer
-holds a full minibatch. What differs between frameworks (the training
+act, then each cell's transition is stored once in the run's
+``TransitionTable`` (its buffer takes one id of it per user), the
+framework's share rule returns the step's (sender, user, receiver) mask
+and the selected experiences are delivered as ids (the barrier), then
+every learner takes at most one gradient step. Gradient steps are
+globally gated until every buffer holds a full minibatch. What differs between frameworks (the training
 reward, the share rule, the learners, the ledger cost) comes from
 ``sharing.BEHAVIOUR``; the environment advance is ``Environment.step``.
 """
@@ -24,7 +26,7 @@ from .environment import Environment
 from .errors import ContractViolation, TrainingFault
 from .metrics import MetricsLog, StepRow, network_sum_rate
 from .qnet import QNetwork, select_action, train_step
-from .replay import Experience, ReplayBuffer
+from .replay import ReplayBuffer, TransitionTable
 from .sharing import OverheadLedger
 
 
@@ -119,6 +121,12 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
     # indexed by cell: the buffer a cell's own and received rows go to
     buffers = [learner.buffer for learner in learners
                for _cell in learner.cells]
+    # Every buffer takes U ids of its cell's row each step, so after
+    # ceil(capacity / U) steps it has evicted every older id: a ring of
+    # that many steps never overwrites a row a buffer still holds. A
+    # shorter run never wraps, so it needs no more steps than it has.
+    table = TransitionTable(min(-(-tr_cfg.buffer_capacity // U),
+                                tr_cfg.episodes * T), L, state_len)
 
     log = MetricsLog()
     ledger = OverheadLedger(users_per_cell=U)
@@ -153,17 +161,10 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                 next_states = env.states()
 
                 # --- store -----------------------------------------------
-                experiences: List[List[Experience]] = []
+                rows = table.store(step_idx, states, actions, train_rewards,
+                                   next_states)
                 for ell in range(L):
-                    bits = control.decode_action(actions[ell], U)
-                    rows = [Experience(
-                        state=states[ell], action_index=actions[ell],
-                        power_bit=bits[u][0], beam_bit=bits[u][1],
-                        reward=train_rewards[ell], next_state=next_states[ell],
-                        cell=ell, user=u, step=step_idx) for u in range(U)]
-                    experiences.append(rows)
-                    for row in rows:
-                        buffers[ell].insert(row, received=False)
+                    buffers[ell].insert(np.full(U, rows[ell]))
                     if events is not None:
                         events.append(("store", step_idx, ell))
 
@@ -172,21 +173,21 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                     for (ell, u), est in np.ndenumerate(result.estimates))
 
                 # --- sharing barrier -------------------------------------
-                packets = []
-                if behaviour.share is not None:
-                    packets = behaviour.share(
-                        experiences, result.estimates,
-                        result.table.inter_by_source,
-                        net_cfg.interference_threshold_mw,
-                        sh_cfg.attribution, step_idx)
-                sent = sharing.deliver(packets, buffers)
-                received = [0] * L
-                for packet in packets:
-                    received[packet.receiver] += len(packet.experiences)
-                    if events is not None:
-                        events.append(("deliver", step_idx, packet.sender,
-                                       packet.receiver,
-                                       len(packet.experiences)))
+                if behaviour.share is None:
+                    mask = np.zeros((L, U, L), dtype=bool)
+                else:
+                    mask = behaviour.share(result.estimates,
+                                           result.table.inter_by_source,
+                                           net_cfg.interference_threshold_mw,
+                                           sh_cfg.attribution)
+                sent = sharing.deliver(mask, rows, buffers)
+                received = mask.sum(axis=(0, 1)).tolist()
+                if events is not None:
+                    pairs = mask.sum(axis=1)
+                    events.extend(("deliver", step_idx, sender, receiver,
+                                   int(pairs[sender, receiver]))
+                                  for sender, receiver in
+                                  zip(*np.nonzero(pairs)))
 
                 charged = [behaviour.cost(ledger, sent.get(ell, 0))
                            for ell in range(L)]
@@ -198,10 +199,10 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                 if all(len(learner.buffer) >= tr_cfg.batch_size
                        for learner in learners):
                     for learner in learners:
-                        batch = learner.buffer.sample(tr_cfg.batch_size,
-                                                      learner.sample_rng)
-                        loss = train_step(learner.net, learner.target, batch,
-                                          tr_cfg.discount,
+                        ids = learner.buffer.sample(tr_cfg.batch_size,
+                                                    learner.sample_rng)
+                        loss = train_step(learner.net, learner.target,
+                                          *table.batch(ids), tr_cfg.discount,
                                           tr_cfg.learning_rate)
                         learner.train_steps += 1
                         artifacts.train_step_count += 1

@@ -87,8 +87,18 @@ def random_snapshot(seed, cells=2, users=3, net_cfg=None):
     return net_cfg, layout, user_set, channels, codebook
 
 
+def random_batch(rng, input_size, n_actions, size):
+    """(states, actions, rewards, next_states) of `size` random rows,
+    drawn row by row."""
+    rows = [(rng.normal(size=input_size), rng.integers(n_actions),
+             rng.normal(), rng.normal(size=input_size))
+            for _ in range(size)]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 def finite_difference_grads(net, target, batch, alpha, h=1e-6):
-    """Central-difference gradient of the minibatch loss, per parameter."""
+    """Central-difference gradient of the minibatch loss, per parameter;
+    `batch` is (states, actions, rewards, next_states)."""
     grads = {}
     for name, param in net.parameters().items():
         grad = np.zeros_like(param)
@@ -97,9 +107,9 @@ def finite_difference_grads(net, target, batch, alpha, h=1e-6):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            up, _ = loss_and_gradients(net, target, batch, alpha)
+            up, _ = loss_and_gradients(net, target, *batch, alpha)
             flat[i] = keep - h
-            down, _ = loss_and_gradients(net, target, batch, alpha)
+            down, _ = loss_and_gradients(net, target, *batch, alpha)
             flat[i] = keep
             gflat[i] = (up - down) / (2.0 * h)
         grads[name] = grad

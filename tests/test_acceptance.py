@@ -18,6 +18,7 @@ from conftest import (
     desk_config,
     finite_difference_grads,
     gradient_mismatch,
+    random_batch,
     random_snapshot,
     tiny_config,
 )
@@ -31,7 +32,7 @@ from cellshare.metrics import MetricsLog, ccdf, read_csv, sum_rate_metric
 from cellshare.oracle import brute_force_step, evaluate_configuration
 from cellshare.physics import measure_inter_cell, received_powers, sinr
 from cellshare.qnet import QNetwork, loss_and_gradients, q_forward
-from cellshare.replay import Experience, experience_scalars
+from cellshare.replay import experience_scalars
 from cellshare.training import run_training
 
 
@@ -134,13 +135,8 @@ def test_criterion_03_gradient_check():
         rng = np.random.default_rng(seed)
         net = QNetwork(6, 8, hidden=(8, 7), rng=rng, init_gain=0.5)
         target = QNetwork(6, 8, hidden=(8, 7), rng=rng, init_gain=0.5)
-        batch = [Experience(state=rng.normal(size=6),
-                            action_index=int(rng.integers(8)),
-                            power_bit=0, beam_bit=0,
-                            reward=float(rng.normal()),
-                            next_state=rng.normal(size=6),
-                            cell=0, user=0, step=0) for _ in range(6)]
-        _, analytic = loss_and_gradients(net, target, batch, 0.9)
+        batch = random_batch(rng, 6, 8, 6)
+        _, analytic = loss_and_gradients(net, target, *batch, 0.9)
         numeric = finite_difference_grads(net, target, batch, 0.9)
         worst = max(worst, gradient_mismatch(analytic, numeric))
     elapsed = time.monotonic() - t0

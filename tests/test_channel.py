@@ -8,8 +8,7 @@ import pytest
 from conftest import random_snapshot
 
 from cellshare.channel import (ChannelSet, beam_codebook, doppler_correlation,
-                               matched_beams, path_loss_gain, sample_channels,
-                               ula_response)
+                               matched_beams, path_loss_gain, sample_channels)
 from cellshare.config import default_config
 from cellshare.errors import ContractViolation
 from cellshare.geometry import build_layout, spawn_users
@@ -26,6 +25,15 @@ def test_codebook_suite_exact_modulus_and_norm():
             assert np.all(np.abs(cb.vectors) == target)
             norms = np.linalg.norm(cb.vectors, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def test_every_codebook_modulus_is_within_one_ulp():
+    for antennas in range(1, 17):
+        target = 1.0 / math.sqrt(antennas)
+        for bits in range(1, 9):
+            error = np.abs(np.abs(beam_codebook(antennas, bits).vectors)
+                           - target)
+            assert np.all(error <= np.spacing(target)), (antennas, bits)
 
 
 def test_codebook_two_antenna_truth_table():
@@ -73,13 +81,6 @@ def test_codebook_is_shared_read_only():
         for _ in range(2):
             with pytest.raises(ContractViolation):
                 beam_codebook(antennas, bits)
-
-
-def test_ula_response_unit_norm():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        v = ula_response(8, float(rng.uniform(0.0, np.pi)))
-        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_path_loss_reference_and_exponent():

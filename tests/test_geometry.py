@@ -36,13 +36,6 @@ def test_layout_pairwise_minimum_spacing():
             assert np.linalg.norm(pts[i] - pts[j]) >= 225.0 - 1e-6
 
 
-def test_cell_assignment_ties_to_lowest_index():
-    layout = build_layout(2, 200.0)
-    midpoint = (layout.positions[0] + layout.positions[1]) / 2.0
-    assert layout.cell_of(midpoint) == 0
-    assert layout.cell_of(layout.positions[1] + [1.0, 0.0]) == 1
-
-
 def test_layout_rejects_bad_arguments():
     with pytest.raises(ContractViolation):
         build_layout(0, 100.0)

@@ -1,4 +1,4 @@
-"""Sharing policies, packet delivery, common reward and the ledger."""
+"""Sharing masks, delivery, common reward and the ledger."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from cellshare.errors import ContractViolation
 from cellshare.qnet import QNetwork
-from cellshare.replay import Experience, ReplayBuffer
+from cellshare.replay import ReplayBuffer
 from cellshare.sharing import (
     ATTRIBUTION_MODES,
     FRAMEWORKS,
     OverheadLedger,
-    SharePacket,
     crdu_reward,
     ctde_sync,
     deliver,
@@ -21,111 +20,118 @@ from cellshare.sharing import (
 )
 
 
-def _exp(cell, user):
-    state = np.zeros(4)
-    return Experience(state=state, action_index=0, power_bit=0, beam_bit=0,
-                      reward=1.0, next_state=state,
-                      cell=cell, user=user, step=0)
-
-
-def _rows(cells, users):
-    return [[_exp(c, u) for u in range(users)] for c in range(cells)]
-
-
 def test_framework_and_mode_registries():
     assert FRAMEWORKS == ("smart", "share-all", "share-nothing",
                           "crdu", "ctde")
     assert ATTRIBUTION_MODES == ("measured", "genie")
 
 
-def test_packet_guards():
-    with pytest.raises(ContractViolation):
-        SharePacket(1, 1, [_exp(1, 0)], step=0)
-    with pytest.raises(ContractViolation):
-        SharePacket(0, 1, [], step=0)
+def _pairs(mask):
+    """{(sender, receiver): [users]} of a (sender, user, receiver) mask."""
+    got = {}
+    for sender, user, receiver in zip(*np.nonzero(mask)):
+        got.setdefault((int(sender), int(receiver)), []).append(int(user))
+    return got
 
 
 def test_share_all_floods_every_neighbour():
-    packets = share_all(_rows(3, 2), step=5)
-    # 3 senders x 2 receivers, 2 rows each
-    assert len(packets) == 6
-    assert sum(len(p.experiences) for p in packets) == 12
-    pairs = {(p.sender, p.receiver) for p in packets}
-    assert pairs == {(s, r) for s in range(3) for r in range(3) if s != r}
-    assert all(p.step == 5 for p in packets)
+    mask = share_all(3, 2)
+    assert mask.shape == (3, 2, 3)
+    # 3 senders x 2 receivers, 2 users each
+    assert int(mask.sum()) == 12
+    assert _pairs(mask) == {(s, r): [0, 1] for s in range(3)
+                            for r in range(3) if s != r}
 
 
 def test_smart_measured_gates_on_aggregate():
-    rows = _rows(2, 3)
     aggregate = np.array([[2.0, 0.5, 3.0],
                           [0.1, 0.2, 0.3]])
-    packets = smart_select(rows, aggregate, None, 1.0, "measured", step=9)
+    mask = smart_select(aggregate, None, 1.0, "measured")
     # only cell 0's users 0 and 2 clear the threshold
-    assert len(packets) == 1
-    packet = packets[0]
-    assert (packet.sender, packet.receiver, packet.step) == (0, 1, 9)
-    assert [e.user for e in packet.experiences] == [0, 2]
+    assert _pairs(mask) == {(0, 1): [0, 2]}
 
 
 def test_smart_threshold_is_strict():
-    rows = _rows(2, 1)
     at_threshold = np.array([[1.0], [0.0]])
-    assert smart_select(rows, at_threshold, None, 1.0, "measured", 0) == []
+    assert not smart_select(at_threshold, None, 1.0, "measured").any()
     just_over = np.array([[np.nextafter(1.0, 2.0)], [0.0]])
-    assert len(smart_select(rows, just_over, None, 1.0, "measured", 0)) == 1
+    assert int(smart_select(just_over, None, 1.0, "measured").sum()) == 1
 
 
 def test_smart_measured_broadcasts_to_all_neighbours():
-    rows = _rows(3, 1)
     aggregate = np.array([[5.0], [0.0], [0.0]])
-    packets = smart_select(rows, aggregate, None, 1.0, "measured", 0)
-    assert {(p.sender, p.receiver) for p in packets} == {(0, 1), (0, 2)}
+    mask = smart_select(aggregate, None, 1.0, "measured")
+    assert set(_pairs(mask)) == {(0, 1), (0, 2)}
 
 
 def test_smart_genie_attributes_per_source():
-    rows = _rows(3, 2)
     aggregate = np.full((3, 2), 10.0)  # ignored in genie mode
     per_source = np.zeros((3, 2, 3))
     per_source[0, 0, 1] = 2.0   # cell 0 user 0 is hit hard by cell 1 only
     per_source[0, 1, 2] = 3.0   # cell 0 user 1 by cell 2 only
     per_source[2, 0, 0] = 1.5
-    packets = smart_select(rows, aggregate, per_source, 1.0, "genie", 0)
-    got = {(p.sender, p.receiver): [e.user for e in p.experiences]
-           for p in packets}
-    assert got == {(0, 1): [0], (0, 2): [1], (2, 0): [0]}
+    per_source[1, 1, 1] = 5.0   # a cell's own term is never shared
+    mask = smart_select(aggregate, per_source, 1.0, "genie")
+    assert _pairs(mask) == {(0, 1): [0], (0, 2): [1], (2, 0): [0]}
     with pytest.raises(ContractViolation):
-        smart_select(rows, aggregate, None, 1.0, "genie", 0)
+        smart_select(aggregate, None, 1.0, "genie")
     with pytest.raises(ContractViolation):
-        smart_select(rows, aggregate, per_source, 1.0, "oracle", 0)
+        smart_select(aggregate, per_source, 1.0, "oracle")
 
 
-def test_genie_selection_is_a_subset_of_measured():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        rows = _rows(3, 2)
-        per_source = rng.uniform(0.0, 2.0, size=(3, 2, 3))
-        ell = np.arange(3)
-        per_source[ell, :, ell] = 0.0
-        aggregate = per_source.sum(axis=2)
-        measured = smart_select(rows, aggregate, None, 1.0, "measured", 0)
-        genie = smart_select(rows, aggregate, per_source, 1.0, "genie", 0)
-        measured_set = {(p.sender, p.receiver, e.user)
-                        for p in measured for e in p.experiences}
-        genie_set = {(p.sender, p.receiver, e.user)
-                     for p in genie for e in p.experiences}
-        assert genie_set <= measured_set
+_powers = st.floats(0.0, 2.0, allow_nan=False)
 
 
-def test_deliver_counts_and_tags_received():
-    rows = _rows(2, 3)
-    buffers = [ReplayBuffer(100) for _ in range(2)]
-    packets = share_all(rows, step=0)
-    sent = deliver(packets, buffers)
-    assert sent == {0: 3, 1: 3}
-    for cell, buf in enumerate(buffers):
-        assert buf.inserted_received == 3
+@st.composite
+def _scenes(draw):
+    """(per-source table with a zero diagonal, its aggregate, threshold)."""
+    cells = draw(st.integers(1, 5))
+    users = draw(st.integers(1, 4))
+    per_source = np.array(draw(st.lists(
+        _powers, min_size=cells * users * cells,
+        max_size=cells * users * cells))).reshape(cells, users, cells)
+    ell = np.arange(cells)
+    per_source[ell, :, ell] = 0.0
+    threshold = draw(st.floats(0.0, 2.0))
+    return per_source, per_source.sum(axis=2), threshold
+
+
+@given(_scenes())
+def test_genie_selection_is_a_subset_of_measured(scene):
+    per_source, aggregate, threshold = scene
+    measured = smart_select(aggregate, None, threshold, "measured")
+    genie = smart_select(aggregate, per_source, threshold, "genie")
+    cells = len(aggregate)
+    for mask in (measured, genie):
+        assert mask.shape == per_source.shape and mask.dtype == bool
+        assert not mask[np.arange(cells), :, np.arange(cells)].any()
+    assert not (genie & ~measured).any()
+
+
+@given(_scenes())
+def test_share_all_is_measured_mode_at_minus_infinity(scene):
+    _per_source, aggregate, _threshold = scene
+    assert np.array_equal(share_all(*aggregate.shape),
+                          smart_select(aggregate, None, -np.inf, "measured"))
+
+
+@given(_scenes(), st.integers(0, 1000))
+def test_deliver_counts_and_tags_received(scene, first_row):
+    per_source, aggregate, threshold = scene
+    mask = smart_select(aggregate, per_source, threshold, "genie")
+    cells, users, _ = mask.shape
+    rows = first_row + np.arange(cells)
+    buffers = [ReplayBuffer(1000) for _ in range(cells)]
+    sent = deliver(mask, rows, buffers)
+    for receiver, buf in enumerate(buffers):
+        # sender, then user order
+        want = [rows[sender] for sender in range(cells)
+                for user in range(users) if mask[sender, user, receiver]]
+        assert buf.slots[:len(buf)].tolist() == want
+        assert buf.inserted_received == len(want)
         assert buf.inserted_local == 0
-        assert all(e.cell != cell for e in buf.oldest_first())
+    assert sent == {sender: int(mask[sender].sum())
+                    for sender in range(cells) if mask[sender].any()}
 
 
 def test_crdu_reward_product_and_punishment():
