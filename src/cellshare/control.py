@@ -1,14 +1,22 @@
-"""Joint-action codec, command application, state encoding and reward.
+"""Command application, state encoding and reward, for one cell or many.
 
 Each agent controls one cell and picks one joint action per step: an
 index below 2**(2U) whose bits hold, per user u, a power command (bit
 2u: 0 -> -1 dB, 1 -> +1 dB) and a beam command (bit 2u+1: 0 -> step
 down, 1 -> step up the codebook).
+
+The command, state and reward functions take optional leading axes of
+cells in front of their per-cell arguments, as
+``physics.received_powers`` takes batch axes: powers, beams and SINRs
+are (..., U), offsets (..., U, 2) and actions (...); states come out as
+(..., 4U) and rewards as (...). Leading axes broadcast, so the oracle
+applies every action to every cell in one call. Each cell's result
+equals the unbatched call on that cell bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,74 +28,55 @@ def action_space_size(users_per_cell: int) -> int:
     return 2 ** (2 * users_per_cell)
 
 
-def decode_action(index: int, users_per_cell: int) -> List[Tuple[int, int]]:
-    """Unpack a joint-action index into per-user (power_bit, beam_bit)."""
-    n = action_space_size(users_per_cell)
-    if not 0 <= index < n:
-        raise ContractViolation(
-            "action index %d outside [0, %d)" % (index, n))
-    out = []
-    for u in range(users_per_cell):
-        power_bit = (index >> (2 * u)) & 1
-        beam_bit = (index >> (2 * u + 1)) & 1
-        out.append((power_bit, beam_bit))
-    return out
-
-
-def encode_action(commands: List[Tuple[int, int]]) -> int:
-    """Inverse of decode_action."""
-    index = 0
-    for u, (power_bit, beam_bit) in enumerate(commands):
-        if power_bit not in (0, 1) or beam_bit not in (0, 1):
-            raise ContractViolation("command bits must be 0 or 1")
-        index |= power_bit << (2 * u)
-        index |= beam_bit << (2 * u + 1)
-    return index
-
-
 def apply_power_command(prev_dbm: np.ndarray, power_bits: np.ndarray,
                         config: NetworkConfig) -> np.ndarray:
-    """One cell's +-1 dB power update under the budget constraint.
+    """+-1 dB power update of each cell under its budget constraint.
 
-    Tentatively applies every command; if the cell's linear sum would
+    Tentatively applies every command; in a cell whose linear sum would
     exceed the budget, every user steps -1 dB instead. Results are
     floored at the per-user minimum. The returned linear sum can never
     exceed the budget provided the previous powers respected it.
     """
     prev_dbm = np.asarray(prev_dbm, dtype=float)
-    power_bits = np.asarray(power_bits)
-    delta = np.where(power_bits == 1, 1.0, -1.0)
+    delta = np.where(np.asarray(power_bits) == 1, 1.0, -1.0)
     tentative = np.maximum(prev_dbm + delta, config.min_ue_power_dbm)
-    if np.sum(10.0 ** (tentative / 10.0)) > config.max_bs_power_mw:
-        tentative = np.maximum(prev_dbm - 1.0, config.min_ue_power_dbm)
-    return tentative
+    over = np.sum(10.0 ** (tentative / 10.0), axis=-1, keepdims=True) \
+        > config.max_bs_power_mw
+    return np.where(over, np.maximum(prev_dbm - 1.0, config.min_ue_power_dbm),
+                    tentative)
 
 
-def apply_beam_command(prev_index: int, beam_bit: int,
-                       codebook_size: int) -> int:
-    """Saturating +-1 move along the codebook."""
-    if not 0 <= prev_index < codebook_size:
-        raise ContractViolation("beam index %d outside codebook" % prev_index)
-    step = 1 if beam_bit == 1 else -1
-    return min(max(prev_index + step, 0), codebook_size - 1)
-
-
-def apply_joint_action(index: int, prev_powers_dbm: np.ndarray,
+def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
                        prev_beams: np.ndarray,
                        config: NetworkConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode and apply one agent's joint action to its cell."""
-    commands = decode_action(index, config.users_per_cell)
-    power_bits = np.array([c[0] for c in commands])
-    new_powers = apply_power_command(prev_powers_dbm, power_bits, config)
-    new_beams = np.array([
-        apply_beam_command(int(b), c[1], config.codebook_size)
-        for b, c in zip(prev_beams, commands)], dtype=int)
+    """Decode and apply each agent's joint action to its cell.
+
+    Beams move one codebook step and saturate at both ends.
+    """
+    U = config.users_per_cell
+    n = action_space_size(U)
+    index = np.asarray(index)
+    bad = (index < 0) | (index >= n)
+    if bad.any():
+        raise ContractViolation("action index %d outside [0, %d)"
+                                % (index[bad][0], n))
+    prev_beams = np.asarray(prev_beams, dtype=int)
+    bad = (prev_beams < 0) | (prev_beams >= config.codebook_size)
+    if bad.any():
+        raise ContractViolation("beam index %d outside codebook"
+                                % prev_beams[bad][0])
+    shifts = 2 * np.arange(U)
+    bits = index[..., None] >> shifts
+    new_powers = apply_power_command(prev_powers_dbm, bits & 1, config)
+    step = 2 * ((bits >> 1) & 1) - 1
+    new_beams = np.minimum(np.maximum(prev_beams + step, 0),
+                           config.codebook_size - 1)
     return new_powers, new_beams
 
 
 def encode_state(prev_powers_dbm: np.ndarray, prev_beams: np.ndarray,
                  offsets: np.ndarray, config: NetworkConfig) -> np.ndarray:
-    """Flatten one agent's observation into the network input vector.
+    """Flatten each agent's observation into its network input vector.
 
     Per user: [normalized power, normalized beam index, x/R, y/R] where
     the power scale runs from the per-user floor to the full budget and
@@ -97,18 +86,17 @@ def encode_state(prev_powers_dbm: np.ndarray, prev_beams: np.ndarray,
     prev_powers_dbm = np.asarray(prev_powers_dbm, dtype=float)
     prev_beams = np.asarray(prev_beams, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    if prev_powers_dbm.shape != (U,) or prev_beams.shape != (U,) \
-            or offsets.shape != (U, 2):
+    cells = prev_powers_dbm.shape[:-1]
+    if prev_powers_dbm.shape[-1:] != (U,) \
+            or prev_beams.shape != prev_powers_dbm.shape \
+            or offsets.shape != prev_powers_dbm.shape + (2,):
         raise ContractViolation("encode_state arguments must cover U users")
     span = config.max_bs_power_dbm - config.min_ue_power_dbm
-    power_norm = (prev_powers_dbm - config.min_ue_power_dbm) / span
-    beam_norm = prev_beams / max(config.codebook_size - 1, 1)
-    state = np.empty(4 * U, dtype=float)
-    state[0::4] = power_norm
-    state[1::4] = beam_norm
-    state[2::4] = offsets[:, 0] / config.cell_radius
-    state[3::4] = offsets[:, 1] / config.cell_radius
-    return state
+    state = np.empty(cells + (U, 4), dtype=float)
+    state[..., 0] = (prev_powers_dbm - config.min_ue_power_dbm) / span
+    state[..., 1] = prev_beams / max(config.codebook_size - 1, 1)
+    state[..., 2:] = offsets / config.cell_radius
+    return state.reshape(cells + (4 * U,))
 
 
 def state_size(users_per_cell: int) -> int:
@@ -116,20 +104,21 @@ def state_size(users_per_cell: int) -> int:
 
 
 def reward(sinrs: np.ndarray, inter_mw: np.ndarray, min_sinr: float,
-           interference_threshold_mw: float, punishment: float) -> float:
-    """Product of (1 + SINR) over users, or -punishment.
+           interference_threshold_mw: float,
+           punishment: float) -> float | np.ndarray:
+    """Product of (1 + SINR) over each cell's users, or -punishment.
 
     The positive branch requires every user to clear the SINR floor and
     every user's inter-cell interference to stay strictly below the
     threshold; any violation collapses the whole cell to -punishment.
+    One cell gives a float, (..., U) inputs a (...) array.
     """
     sinrs = np.asarray(sinrs, dtype=float)
     inter_mw = np.asarray(inter_mw, dtype=float)
-    ok = np.all(sinrs > min_sinr) and np.all(
-        inter_mw < interference_threshold_mw)
-    if not ok:
-        return -float(punishment)
-    return float(np.prod(1.0 + sinrs))
+    ok = np.all(sinrs > min_sinr, axis=-1) \
+        & np.all(inter_mw < interference_threshold_mw, axis=-1)
+    return np.where(ok, np.prod(1.0 + sinrs, axis=-1),
+                    -float(punishment))[()]
 
 
 def initial_powers_dbm(config: NetworkConfig) -> np.ndarray:

@@ -3,7 +3,9 @@
 ``reset`` starts an episode: fresh users and channels, powers back to
 the even split, beams matched to the new serving CSI. ``step`` applies
 one joint action per cell, checks the power budget and beam bounds,
-moves the users, evolves the channels and measures the result.
+moves the users, evolves the channels and measures the result. Powers,
+beams, states and rewards are per-cell arrays handed to ``control`` in
+one call each, with cells as the leading axis.
 """
 
 from __future__ import annotations
@@ -54,27 +56,27 @@ class Environment:
         self.offsets = self.users.offsets(self.layout)
         self.sinr_history: List[np.ndarray] = []  # one (L, U) per step
 
-    def states(self) -> List[np.ndarray]:
-        """Every agent's observation of its cell's powers, beams, users."""
-        return [control.encode_state(self.powers_dbm[ell], self.beams[ell],
-                                     self.offsets[ell], self.config)
-                for ell in range(self.config.cells)]
+    def states(self) -> np.ndarray:
+        """Every agent's observation of its cell's powers, beams, users:
+        an (L, 4U) matrix, one row per agent."""
+        return control.encode_state(self.powers_dbm, self.beams,
+                                    self.offsets, self.config)
 
     def step(self, actions: Sequence[int]) -> StepResult:
         """Apply one joint action per cell, then advance and measure."""
         cfg = self.config
-        for ell, action in enumerate(actions):
-            self.powers_dbm[ell], self.beams[ell] = \
-                control.apply_joint_action(action, self.powers_dbm[ell],
-                                           self.beams[ell], cfg)
+        self.powers_dbm, self.beams = control.apply_joint_action(
+            actions, self.powers_dbm, self.beams, cfg)
         powers_mw = 10.0 ** (self.powers_dbm / 10.0)
-        for ell in range(cfg.cells):
-            if powers_mw[ell].sum() > cfg.max_bs_power_mw:
-                raise ContractViolation(
-                    "cell %d power budget violated: %r mW" %
-                    (ell, powers_mw[ell].sum()))
-        if np.any(self.beams < 0) or np.any(self.beams >= cfg.codebook_size):
-            raise ContractViolation("beam index left the codebook")
+        budget_mw = powers_mw.sum(axis=1)
+        bad = (budget_mw > cfg.max_bs_power_mw) | np.any(
+            (self.beams < 0) | (self.beams >= cfg.codebook_size), axis=1)
+        if bad.any():
+            ell = int(np.argmax(bad))
+            raise ContractViolation(
+                "cell %d left its power budget or the codebook: %r mW, "
+                "beams %s" % (ell, float(budget_mw[ell]),
+                              self.beams[ell].tolist()))
 
         self.users = step_mobility(self.users, self.layout, cfg,
                                    self.users_rng)
@@ -86,9 +88,9 @@ class Environment:
         estimates = measure_inter_cell(gammas, powers_mw, self.beams,
                                        self.channels, cfg.noise_mw,
                                        self.codebook)
-        rewards = [control.reward(gammas[ell], estimates[ell], cfg.min_sinr,
-                                  cfg.interference_threshold_mw,
-                                  cfg.punishment) for ell in range(cfg.cells)]
+        rewards = control.reward(gammas, estimates, cfg.min_sinr,
+                                 cfg.interference_threshold_mw,
+                                 cfg.punishment).tolist()
         self.offsets = self.users.offsets(self.layout)
         self.sinr_history.append(gammas)
         return StepResult(table, gammas, estimates, rewards)

@@ -114,13 +114,9 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
         raise ContractViolation(
             "powers and beams must be (cells, users_per_cell)")
 
-    cell_powers = np.empty((L, n_actions, U), dtype=float)
-    cell_beams = np.empty((L, n_actions, U), dtype=int)
-    for ell in range(L):
-        for action in range(n_actions):
-            cell_powers[ell, action], cell_beams[ell, action] = \
-                control.apply_joint_action(action, powers_dbm[ell],
-                                           beams[ell], config)
+    # (L, n_actions, U): every action applied to every cell at once
+    cell_powers, cell_beams = control.apply_joint_action(
+        np.arange(n_actions), powers_dbm[:, None], beams[:, None], config)
     return _best_combination(channels, 10.0 ** (cell_powers / 10.0),
                              cell_beams, config, codebook)
 

@@ -7,16 +7,17 @@ act, then each cell's transition is stored once in the run's
 framework's share rule returns the step's (sender, user, receiver) mask
 and the selected experiences are delivered as ids (the barrier), then
 every learner takes at most one gradient step. Gradient steps are
-globally gated until every buffer holds a full minibatch. What differs between frameworks (the training
-reward, the share rule, the learners, the ledger cost) comes from
-``sharing.BEHAVIOUR``; the environment advance is ``Environment.step``.
+globally gated until every buffer holds a full minibatch. What differs
+between frameworks (the training reward, the share rule, the learners,
+the ledger cost) comes from ``sharing.BEHAVIOUR``; the environment
+advance is ``Environment.step``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -56,11 +57,6 @@ class RunArtifacts:
     central_net: Optional[QNetwork] = None
     train_step_count: int = 0
     final_epsilon: float = 0.0
-    # (episode, step, cell, user, estimated inter-cell mW); lets sharing
-    # decisions be re-derived offline for any threshold
-    interference_log: List[Tuple[int, int, int, int, float]] = \
-        field(default_factory=list)
-    events: Optional[List[tuple]] = None
 
 
 def _log_step(log: MetricsLog, episode: int, t: int, gammas: np.ndarray,
@@ -84,8 +80,7 @@ def _log_episode(log: MetricsLog, episode: int,
     log.add_episode(episode, step_sinrs[-1], rate)
 
 
-def run_training(cfg: RunConfig, framework: str, seed: int,
-                 record_events: bool = False) -> RunArtifacts:
+def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     """Full training run of one framework; deterministic in (cfg, seed)."""
     if framework not in sharing.FRAMEWORKS:
         raise ContractViolation("unknown framework %r (expected one of %s)"
@@ -130,10 +125,9 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
 
     log = MetricsLog()
     ledger = OverheadLedger(users_per_cell=U)
-    events: Optional[List[tuple]] = [] if record_events else None
     artifacts = RunArtifacts(framework=framework, seed=seed, config=cfg,
                              log=log, ledger=ledger, agent_nets=agent_nets,
-                             central_net=central, events=events)
+                             central_net=central)
 
     epsilon = tr_cfg.epsilon_start
 
@@ -149,8 +143,6 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                 actions = [select_action(agent_nets[ell], states[ell],
                                          epsilon, action_rngs[ell])
                            for ell in range(L)]
-                if events is not None:
-                    events.extend(("act", step_idx, ell) for ell in range(L))
                 result = env.step(actions)
 
                 if not all(math.isfinite(r) for r in result.rewards):
@@ -165,12 +157,6 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                                    next_states)
                 for ell in range(L):
                     buffers[ell].insert(np.full(U, rows[ell]))
-                    if events is not None:
-                        events.append(("store", step_idx, ell))
-
-                artifacts.interference_log.extend(
-                    (episode, t, ell, u, float(est))
-                    for (ell, u), est in np.ndenumerate(result.estimates))
 
                 # --- sharing barrier -------------------------------------
                 if behaviour.share is None:
@@ -182,12 +168,6 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                                            sh_cfg.attribution)
                 sent = sharing.deliver(mask, rows, buffers)
                 received = mask.sum(axis=(0, 1)).tolist()
-                if events is not None:
-                    pairs = mask.sum(axis=1)
-                    events.extend(("deliver", step_idx, sender, receiver,
-                                   int(pairs[sender, receiver]))
-                                  for sender, receiver in
-                                  zip(*np.nonzero(pairs)))
 
                 charged = [behaviour.cost(ledger, sent.get(ell, 0))
                            for ell in range(L)]
@@ -211,18 +191,12 @@ def run_training(cfg: RunConfig, framework: str, seed: int,
                             learner.target.load_from(learner.net)
                         for cell in learner.cells:
                             losses[cell] = loss
-                        if events is not None:
-                            events.append(("train", step_idx,
-                                           -1 if central else
-                                           learner.cells[0]))
                 if central is not None and \
                         (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
                     per_cell = sharing.ctde_sync(central, agent_nets,
                                                  ledger) // L
                     for ell in range(L):
                         per_agent_scalars[ell] += per_cell
-                    if events is not None:
-                        events.append(("sync", step_idx))
 
                 ledger.record_step(step_idx, per_agent_exp, per_agent_scalars)
                 _log_step(log, episode, t, result.sinr, train_rewards, losses,

@@ -28,7 +28,7 @@ from cellshare.channel import beam_codebook, matched_beams, sample_channels
 from cellshare.cli import main
 from cellshare.config import dump_config
 from cellshare.geometry import build_layout, spawn_users
-from cellshare.metrics import MetricsLog, ccdf, read_csv, sum_rate_metric
+from cellshare.metrics import MetricsLog, ccdf, sum_rate_metric
 from cellshare.oracle import brute_force_step, evaluate_configuration
 from cellshare.physics import measure_inter_cell, received_powers, sinr
 from cellshare.qnet import QNetwork, loss_and_gradients, q_forward

@@ -1,18 +1,17 @@
-"""Joint-action codec, power/beam command application, state and reward."""
+"""Joint-action bit layout, power/beam command application, state and
+reward, for one cell and batched over leading (B, L) axes."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cellshare.config import default_config
 from cellshare.control import (
     action_space_size,
-    apply_beam_command,
     apply_joint_action,
     apply_power_command,
-    decode_action,
-    encode_action,
     encode_state,
     initial_beams,
     initial_powers_dbm,
@@ -22,38 +21,66 @@ from cellshare.control import (
 from cellshare.errors import ContractViolation
 
 
+def _commands(index, users):
+    """Reference decode, bit by bit: per user u, (power bit 2u, beam
+    bit 2u+1)."""
+    return [((index >> (2 * u)) & 1, (index >> (2 * u + 1)) & 1)
+            for u in range(users)]
+
+
+def _cfg(users, bits=3):
+    cfg = default_config().network  # 40 dBm budget, 0 dBm floor
+    cfg.users_per_cell = users
+    cfg.codebook_bits = bits
+    return cfg
+
+
+def _moves(index, users):
+    """(power dB steps, beam steps) of an action away from both the
+    budget and the codebook ends, where every command applies verbatim."""
+    cfg = _cfg(users)
+    powers = np.full(users, 5.0)
+    beams = np.full(users, 4)
+    new_powers, new_beams = apply_joint_action(index, powers, beams, cfg)
+    return new_powers - powers, new_beams - beams
+
+
 def test_action_codec_round_trips():
+    # the reference decode, applied, re-encodes to the same index
     for users in range(1, 5):
         assert action_space_size(users) == 4 ** users
         for index in range(action_space_size(users)):
-            commands = decode_action(index, users)
-            assert len(commands) == users
-            assert encode_action(commands) == index
+            power_steps, beam_steps = _moves(index, users)
+            commands = _commands(index, users)
+            assert power_steps.tolist() == [2.0 * p - 1 for p, _ in commands]
+            assert beam_steps.tolist() == [2 * b - 1 for _, b in commands]
+            assert sum(int(p > 0) << (2 * u) | int(b > 0) << (2 * u + 1)
+                       for u, (p, b) in enumerate(zip(power_steps,
+                                                      beam_steps))) == index
 
 
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                min_size=1, max_size=4))
-def test_decode_inverts_encode(commands):
-    # the other direction of test_action_codec_round_trips
-    index = encode_action(commands)
-    assert 0 <= index < action_space_size(len(commands))
-    assert decode_action(index, len(commands)) == commands
-
-
-def test_decode_action_bit_layout():
-    # index 5 = 0b000101: u0 power up + beam up, u1/u2 both down
-    assert decode_action(5, 3) == [(1, 0), (1, 0), (0, 0)]
-    assert decode_action(0, 3) == [(0, 0), (0, 0), (0, 0)]
-    assert decode_action(63, 3) == [(1, 1), (1, 1), (1, 1)]
+def test_action_bit_layout():
+    # index 5 = 0b000101: u0 and u1 power up + beam down, u2 both down
+    assert _commands(5, 3) == [(1, 0), (1, 0), (0, 0)]
+    steps = _moves(5, 3)
+    assert steps[0].tolist() == [1.0, 1.0, -1.0]
+    assert steps[1].tolist() == [-1, -1, -1]
+    steps = _moves(0, 3)
+    assert steps[0].tolist() == [-1.0] * 3 and steps[1].tolist() == [-1] * 3
+    steps = _moves(63, 3)
+    assert steps[0].tolist() == [1.0] * 3 and steps[1].tolist() == [1] * 3
 
 
 def test_action_codec_rejects_garbage():
-    with pytest.raises(ContractViolation):
-        decode_action(-1, 2)
-    with pytest.raises(ContractViolation):
-        decode_action(16, 2)
-    with pytest.raises(ContractViolation):
-        encode_action([(0, 2)])
+    cfg = _cfg(2)  # 16 joint actions, 8 beams
+    powers = np.zeros(2)
+    beams = np.zeros(2, dtype=int)
+    for index in (-1, 16, [[0, 3], [16, 1]]):
+        with pytest.raises(ContractViolation, match="action index"):
+            apply_joint_action(index, powers, beams, cfg)
+    for bad in ([0, 8], [-1, 0], [[0, 1], [1, 8]]):
+        with pytest.raises(ContractViolation, match="outside codebook"):
+            apply_joint_action(0, powers, np.array(bad), cfg)
 
 
 def test_power_override_when_budget_exceeded():
@@ -86,31 +113,35 @@ def test_power_budget_never_violated():
 
 
 def test_beam_command_saturates():
-    assert apply_beam_command(0, 0, 8) == 0
-    assert apply_beam_command(0, 1, 8) == 1
-    assert apply_beam_command(7, 1, 8) == 7
-    assert apply_beam_command(7, 0, 8) == 6
+    cfg = _cfg(1)  # 8 beams; action 0 steps down, action 2 steps up
+
+    def move(beam, index):
+        return apply_joint_action(index, [5.0], [beam], cfg)[1].tolist()
+
+    assert move(0, 0) == [0]
+    assert move(0, 2) == [1]
+    assert move(7, 2) == [7]
+    assert move(7, 0) == [6]
     with pytest.raises(ContractViolation):
-        apply_beam_command(8, 0, 8)
+        move(8, 0)
 
 
 def test_apply_joint_action_matches_manual_decode():
-    cfg = default_config().network
-    cfg.users_per_cell = 2
+    cfg = _cfg(2)
     rng = np.random.default_rng(4)
     powers = initial_powers_dbm(cfg)
     beams = initial_beams(cfg)
     for _ in range(300):
         index = int(rng.integers(0, action_space_size(2)))
-        commands = decode_action(index, 2)
+        commands = _commands(index, 2)
         want_powers = apply_power_command(
             powers, np.array([c[0] for c in commands]), cfg)
-        want_beams = np.array([
-            apply_beam_command(int(b), c[1], cfg.codebook_size)
-            for b, c in zip(beams, commands)])
+        want_beams = [min(max(int(b) + 2 * c[1] - 1, 0),
+                          cfg.codebook_size - 1)
+                      for b, c in zip(beams, commands)]
         powers, beams = apply_joint_action(index, powers, beams, cfg)
         assert np.array_equal(powers, want_powers)
-        assert np.array_equal(beams, want_beams)
+        assert beams.tolist() == want_beams
 
 
 @given(st.integers(1, 4), st.integers(1, 8),
@@ -138,6 +169,58 @@ def test_joint_action_keeps_cell_in_budget_and_codebook(users, bits, floor,
     assert np.sum(10.0 ** (new_powers / 10.0)) <= cfg.max_bs_power_mw
     assert np.all((new_beams >= 0) & (new_beams < cfg.codebook_size))
     assert np.all(np.abs(new_beams - beams) <= 1)
+
+
+# (B, L, U): a batch of B networks of L cells with U users each
+_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3))
+
+
+@given(_shapes, st.data())
+def test_batched_joint_action_equals_per_cell_calls(shape, data):
+    B, L, U = shape
+    cfg = _cfg(U, bits=2)
+    cfg.max_bs_power_dbm = 12.0  # back-offs, floors and saturation are common
+    powers = data.draw(arrays(float, shape, elements=st.floats(-2.0, 10.0)))
+    beams = data.draw(arrays(int, shape, elements=st.integers(0, 3)))
+    actions = data.draw(arrays(int, (B, L), elements=st.integers(
+        0, action_space_size(U) - 1)))
+    new_powers, new_beams = apply_joint_action(actions, powers, beams, cfg)
+    assert new_powers.shape == new_beams.shape == shape
+    for b in range(B):
+        for ell in range(L):
+            want = apply_joint_action(int(actions[b, ell]), powers[b, ell],
+                                      beams[b, ell], cfg)
+            assert np.array_equal(new_powers[b, ell], want[0])
+            assert np.array_equal(new_beams[b, ell], want[1])
+
+
+@given(_shapes, st.data())
+def test_batched_state_equals_per_cell_calls(shape, data):
+    B, L, U = shape
+    cfg = _cfg(U)
+    powers = data.draw(arrays(float, shape, elements=st.floats(0.0, 40.0)))
+    beams = data.draw(arrays(int, shape, elements=st.integers(0, 7)))
+    offsets = data.draw(arrays(float, shape + (2,),
+                               elements=st.floats(-150.0, 150.0)))
+    states = encode_state(powers, beams, offsets, cfg)
+    assert states.shape == (B, L, state_size(U))
+    for b in range(B):
+        for ell in range(L):
+            assert np.array_equal(states[b, ell], encode_state(
+                powers[b, ell], beams[b, ell], offsets[b, ell], cfg))
+
+
+@given(_shapes, st.data())
+def test_batched_reward_equals_per_cell_calls(shape, data):
+    B, L, _ = shape
+    sinrs = data.draw(arrays(float, shape, elements=st.floats(0.0, 3.0)))
+    inter = data.draw(arrays(float, shape, elements=st.floats(0.0, 2e-14)))
+    rewards = reward(sinrs, inter, 0.5, 1e-14, 100.0)
+    assert rewards.shape == (B, L)
+    want = [[reward(sinrs[b, ell], inter[b, ell], 0.5, 1e-14, 100.0)
+             for ell in range(L)] for b in range(B)]
+    assert all(isinstance(r, float) for row in want for r in row)
+    assert np.array_equal(rewards, want)
 
 
 def test_state_layout_and_normalization():

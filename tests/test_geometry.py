@@ -5,8 +5,7 @@ import pytest
 
 from cellshare.config import default_config
 from cellshare.errors import ContractViolation
-from cellshare.geometry import (CellLayout, build_layout, spawn_users,
-                                step_mobility)
+from cellshare.geometry import build_layout, spawn_users, step_mobility
 
 
 def test_layout_two_cells_one_isd_apart():

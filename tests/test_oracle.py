@@ -1,7 +1,5 @@
 """Brute-force one-step search and the global power/beam grid search."""
 
-import itertools
-
 import numpy as np
 import pytest
 

@@ -8,10 +8,12 @@ import pytest
 
 from conftest import small_run_config
 
+from cellshare import sharing, training
+from cellshare.environment import Environment
 from cellshare.errors import ContractViolation, TrainingFault
 from cellshare.metrics import metrics_csv_rows, network_sum_rate
 from cellshare.qnet import QNetwork
-from cellshare.replay import experience_scalars
+from cellshare.replay import TransitionTable, experience_scalars
 from cellshare.training import RunArtifacts, evaluate, run_training
 
 
@@ -38,18 +40,67 @@ def test_training_is_deterministic():
     assert first.ledger.rows == second.ledger.rows
     assert all(a.equal_weights(b) for a, b in
                zip(first.agent_nets, second.agent_nets))
-    assert first.interference_log == second.interference_log
     different = run_training(cfg, "smart", seed=6)
     assert not _rows_equal(metrics_csv_rows(first.log),
                            metrics_csv_rows(different.log))
 
 
-def test_step_phases_are_strictly_ordered():
+class StepRecorder:
+    """Wraps the trainer's phase functions and records, in call order,
+    (phase, step) events: one "act" per action, one "store" per cell
+    row written to the transition table, one "deliver", "train" or
+    "sync" per call. Also keeps every step's (L, U) interference
+    estimates as Environment.step returned them."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        self.estimates = []
+        self._wrap(monkeypatch, training, "select_action", "act")
+        self._wrap(monkeypatch, training, "train_step", "train")
+        self._wrap(monkeypatch, sharing, "deliver", "deliver")
+        self._wrap(monkeypatch, sharing, "ctde_sync", "sync")
+        store = TransitionTable.store
+        env_step = Environment.step
+
+        def record_store(table, step, *args):
+            # the step being stored is the last one the environment took
+            assert step == self.step
+            rows = store(table, step, *args)
+            self.events.extend(("store", step) for _ in rows)
+            return rows
+
+        def record_env_step(env, actions):
+            result = env_step(env, actions)
+            self.estimates.append(result.estimates.copy())
+            return result
+
+        monkeypatch.setattr(TransitionTable, "store", record_store)
+        monkeypatch.setattr(Environment, "step", record_env_step)
+
+    @property
+    def step(self):
+        """Index of the step in progress: actions for step k are chosen
+        before the k-th environment step, everything else after it."""
+        return len(self.estimates) - 1
+
+    def _wrap(self, monkeypatch, module, name, phase):
+        inner = getattr(module, name)
+
+        def record(*args, **kwargs):
+            self.events.append(
+                (phase, self.step + 1 if phase == "act" else self.step))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+
+def test_step_phases_are_strictly_ordered(monkeypatch):
     cfg = small_run_config()
-    artifacts = run_training(cfg, "smart", seed=1, record_events=True)
+    recorder = StepRecorder(monkeypatch)
+    run_training(cfg, "smart", seed=1)
     rank = {"act": 0, "store": 1, "deliver": 2, "train": 3, "sync": 3}
     by_step = {}
-    for event in artifacts.events:
+    for event in recorder.events:
         by_step.setdefault(event[1], []).append(event)
     total_steps = cfg.training.episodes * cfg.training.steps_per_episode
     assert set(by_step) == set(range(total_steps))
@@ -118,20 +169,22 @@ def _rows_by_step(artifacts):
     return by_step.values()
 
 
-def test_smart_sharing_matches_the_interference_log():
+def test_smart_sharing_matches_the_interference_log(monkeypatch):
     cfg = small_run_config()
+    recorder = StepRecorder(monkeypatch)
     artifacts = run_training(cfg, "smart", seed=7)
     L = cfg.network.cells
     U = cfg.network.users_per_cell
     T = cfg.training.steps_per_episode
     thr = cfg.network.interference_threshold_mw
-    assert len(artifacts.interference_log) == \
-        cfg.training.episodes * T * L * U
+    assert len(recorder.estimates) == cfg.training.episodes * T
+    assert all(est.shape == (L, U) for est in recorder.estimates)
 
     expected = {}
-    for episode, t, cell, user, est in artifacts.interference_log:
-        key = (episode * T + t, cell)
-        expected[key] = expected.get(key, 0) + (L - 1) * int(est > thr)
+    for step, estimates in enumerate(recorder.estimates):
+        for (cell, user), est in np.ndenumerate(estimates):
+            key = (step, cell)
+            expected[key] = expected.get(key, 0) + (L - 1) * int(est > thr)
     ledgered = {(row[0], row[1]): row[2] for row in artifacts.ledger.rows}
     assert ledgered == expected
     for row in artifacts.ledger.rows:
