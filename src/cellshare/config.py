@@ -118,55 +118,48 @@ class RunConfig:
 
 
 # section -> key -> (attribute, converter). Converters run before validation.
-_INT = int
-_FLOAT = float
-_STR = str
-
 _SCHEMA: Dict[str, Dict[str, Tuple[str, type]]] = {
     "network": {
-        "cells": ("cells", _INT),
-        "users_per_cell": ("users_per_cell", _INT),
-        "antennas": ("antennas", _INT),
-        "codebook_bits": ("codebook_bits", _INT),
-        "cell_radius_m": ("cell_radius", _FLOAT),
-        "inter_site_distance_m": ("inter_site_distance", _FLOAT),
-        "carrier_freq_hz": ("carrier_freq", _FLOAT),
-        "ue_speed_mps": ("ue_speed", _FLOAT),
-        "step_duration_s": ("step_duration", _FLOAT),
-        "pathloss_exponent": ("pathloss_exponent", _FLOAT),
-        "paths": ("paths", _INT),
-        "noise_power_dbm": ("noise_dbm", _FLOAT),
-        "max_bs_power_dbm": ("max_bs_power_dbm", _FLOAT),
-        "min_ue_power_dbm": ("min_ue_power_dbm", _FLOAT),
-        "min_sinr_db": ("min_sinr_db", _FLOAT),
-        "interference_threshold_dbm": ("interference_threshold_dbm", _FLOAT),
-        "punishment": ("punishment", _FLOAT),
+        "cells": ("cells", int),
+        "users_per_cell": ("users_per_cell", int),
+        "antennas": ("antennas", int),
+        "codebook_bits": ("codebook_bits", int),
+        "cell_radius_m": ("cell_radius", float),
+        "inter_site_distance_m": ("inter_site_distance", float),
+        "carrier_freq_hz": ("carrier_freq", float),
+        "ue_speed_mps": ("ue_speed", float),
+        "step_duration_s": ("step_duration", float),
+        "pathloss_exponent": ("pathloss_exponent", float),
+        "paths": ("paths", int),
+        "noise_power_dbm": ("noise_dbm", float),
+        "max_bs_power_dbm": ("max_bs_power_dbm", float),
+        "min_ue_power_dbm": ("min_ue_power_dbm", float),
+        "min_sinr_db": ("min_sinr_db", float),
+        "interference_threshold_dbm": ("interference_threshold_dbm", float),
+        "punishment": ("punishment", float),
     },
     "training": {
-        "episodes": ("episodes", _INT),
-        "steps_per_episode": ("steps_per_episode", _INT),
-        "learning_rate": ("learning_rate", _FLOAT),
-        "discount": ("discount", _FLOAT),
-        "batch_size": ("batch_size", _INT),
-        "buffer_capacity": ("buffer_capacity", _INT),
-        "epsilon_start": ("epsilon_start", _FLOAT),
-        "epsilon_decay": ("epsilon_decay", _FLOAT),
-        "epsilon_min": ("epsilon_min", _FLOAT),
-        "target_refresh_steps": ("target_refresh_steps", _INT),
-        "eval_episodes": ("eval_episodes", _INT),
-        "sumrate_mode": ("sumrate_mode", _STR),
+        "episodes": ("episodes", int),
+        "steps_per_episode": ("steps_per_episode", int),
+        "learning_rate": ("learning_rate", float),
+        "discount": ("discount", float),
+        "batch_size": ("batch_size", int),
+        "buffer_capacity": ("buffer_capacity", int),
+        "epsilon_start": ("epsilon_start", float),
+        "epsilon_decay": ("epsilon_decay", float),
+        "epsilon_min": ("epsilon_min", float),
+        "target_refresh_steps": ("target_refresh_steps", int),
+        "eval_episodes": ("eval_episodes", int),
+        "sumrate_mode": ("sumrate_mode", str),
     },
     "sharing": {
-        "attribution": ("attribution", _STR),
-        "ctde_sync_period": ("ctde_sync_period", _INT),
+        "attribution": ("attribution", str),
+        "ctde_sync_period": ("ctde_sync_period", int),
     },
     "oracle": {
-        "power_step_db": ("power_step_db", _FLOAT),
+        "power_step_db": ("power_step_db", float),
     },
 }
-
-_SECTION_ATTR = {"network": "network", "training": "training",
-                 "sharing": "sharing", "oracle": "oracle"}
 
 
 def default_config() -> RunConfig:
@@ -210,16 +203,11 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
                               % (source, lineno, key, section))
         attr, conv = _SCHEMA[section][key]
         try:
-            if conv is _INT:
-                parsed = int(value)
-            elif conv is _FLOAT:
-                parsed = float(value)
-            else:
-                parsed = value
+            parsed = conv(value)
         except ValueError:
             raise ConfigError("%s line %d: cannot parse %r as %s for key %r"
                               % (source, lineno, value, conv.__name__, key))
-        setattr(getattr(cfg, _SECTION_ATTR[section]), attr, parsed)
+        setattr(getattr(cfg, section), attr, parsed)
         lines_seen[(section, key)] = lineno
     validate_config(cfg, source=source, lines=lines_seen)
     return cfg
@@ -311,7 +299,7 @@ def resolved_dict(cfg: RunConfig) -> Dict[str, Dict[str, object]]:
     """Every resolved value, in file units, for run.json and print-config."""
     out: Dict[str, Dict[str, object]] = {}
     for section, keys in _SCHEMA.items():
-        holder = getattr(cfg, _SECTION_ATTR[section])
+        holder = getattr(cfg, section)
         out[section] = {key: getattr(holder, attr)
                         for key, (attr, _conv) in keys.items()}
     return out

@@ -30,7 +30,6 @@ class StepRow:
     step: int
     agent: int
     reward: float
-    sinrs: Tuple[float, ...]  # per-user linear SINR of this agent's cell
     loss: float               # nan when the gradient step was skipped
     epsilon: float
     shared_tx: int

@@ -142,13 +142,11 @@ def crdu_reward(cell_rewards: Sequence[float], punishment: float) -> float:
     return out
 
 
-def ctde_sync(central: QNetwork, agent_nets: Sequence[QNetwork],
+def ctde_sync(central: QNetwork, agents: QNetwork,
               ledger: OverheadLedger | None = None) -> int:
-    """Broadcast central weights to every agent; returns scalars sent."""
-    scalars = 0
-    for net in agent_nets:
-        net.load_from(central)
-        scalars += central.parameter_count()
+    """Copy the central weights into every agent; returns scalars sent."""
+    agents.load_from(central)
+    scalars = agents.parameter_count()
     if ledger is not None:
         ledger.add_weight_scalars(scalars)
     return scalars

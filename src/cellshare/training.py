@@ -1,13 +1,13 @@
 """Training orchestration: episodes, the act/share/train step loop,
 greedy evaluation rollouts and run artifacts.
 
-Every step has three strictly ordered phases: all agents observe and
-act, then each cell's transition is stored once in the run's
-``TransitionTable`` (its buffer takes one id of it per user), the
-framework's share rule returns the step's (sender, user, receiver) mask
-and the selected experiences are delivered as ids (the barrier), then
-every learner takes at most one gradient step. Gradient steps are
-globally gated until every buffer holds a full minibatch. What differs
+Every step has three strictly ordered phases: the agents' stacked
+network acts for all cells, then each cell's transition is stored once
+in the run's ``TransitionTable`` (its buffer takes one id per user), the
+share rule's (sender, user, receiver) mask of experiences is delivered
+as ids (the barrier), then the learner stack (one network per cell, or
+ctde's one central network) takes one stacked gradient step on one
+minibatch per buffer, gated until every buffer is full. What differs
 between frameworks (the training reward, the share rule, the learners,
 the ledger cost) comes from ``sharing.BEHAVIOUR``; the environment
 advance is ``Environment.step``.
@@ -31,21 +31,6 @@ from .replay import ReplayBuffer, TransitionTable
 from .sharing import OverheadLedger
 
 
-class Learner:
-    """A network under training with its target copy, replay buffer and
-    minibatch stream, plus the cells whose rows it stores and whose
-    loss it reports."""
-
-    def __init__(self, net: QNetwork, sample_rng: np.random.Generator,
-                 cells: Sequence[int], capacity: int):
-        self.net = net
-        self.target = net.copy()
-        self.buffer = ReplayBuffer(capacity)
-        self.sample_rng = sample_rng
-        self.cells = cells
-        self.train_steps = 0
-
-
 @dataclass
 class RunArtifacts:
     framework: str
@@ -53,22 +38,18 @@ class RunArtifacts:
     config: RunConfig
     log: MetricsLog
     ledger: OverheadLedger
-    agent_nets: List[QNetwork]
-    central_net: Optional[QNetwork] = None
+    agent_nets: QNetwork                  # the (L, ...) stack that acts
+    central_net: Optional[QNetwork] = None  # ctde's learner (a view)
     train_step_count: int = 0
     final_epsilon: float = 0.0
 
 
-def _log_step(log: MetricsLog, episode: int, t: int, gammas: np.ndarray,
-              rewards: Sequence[float], losses: Sequence[float],
-              epsilon: float, sent: Sequence[int],
+def _log_step(log: MetricsLog, episode: int, t: int, rewards: Sequence[float],
+              losses: Sequence[float], epsilon: float, sent: Sequence[int],
               received: Sequence[int]) -> None:
     for ell in range(len(rewards)):
-        log.add_step(StepRow(
-            episode=episode, step=t, agent=ell, reward=rewards[ell],
-            sinrs=tuple(float(g) for g in gammas[ell]),
-            loss=losses[ell], epsilon=epsilon,
-            shared_tx=sent[ell], shared_rx=received[ell]))
+        log.add_step(StepRow(episode, t, ell, rewards[ell], losses[ell],
+                             epsilon, sent[ell], received[ell]))
 
 
 def _log_episode(log: MetricsLog, episode: int,
@@ -100,22 +81,21 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     streams = [np.random.default_rng(s) for s in root.spawn(3 * L + 2)]
     action_rngs = streams[1:3 * L:3]
 
-    central: Optional[QNetwork] = None
-    if behaviour.central:
-        central = QNetwork(state_len, n_actions, rng=streams[3 * L])
-        learners = [Learner(central, streams[3 * L + 1], range(L),
-                            tr_cfg.buffer_capacity)]
-        agent_nets = [central.copy() for _ in range(L)]
-    else:
-        learners = [Learner(QNetwork(state_len, n_actions,
-                                     rng=streams[3 * ell]),
-                            streams[3 * ell + 2], (ell,),
-                            tr_cfg.buffer_capacity)
-                    for ell in range(L)]
-        agent_nets = [learner.net for learner in learners]
-    # indexed by cell: the buffer a cell's own and received rows go to
-    buffers = [learner.buffer for learner in learners
-               for _cell in learner.cells]
+    # One learner stack with one target copy and one replay buffer and
+    # sampling stream per learner: every cell's own network, or ctde's
+    # central one (the one-learner case), which the acting stack copies.
+    inits = [streams[3 * L]] if behaviour.central else streams[0:3 * L:3]
+    learner = QNetwork.stack([QNetwork(state_len, n_actions, rng=rng)
+                              for rng in inits])
+    agents = QNetwork.stack([learner[0]] * L) if behaviour.central else learner
+    sample_rngs = [streams[3 * L + 1]] if behaviour.central \
+        else streams[2:3 * L:3]
+    target = learner.copy()
+    owner = np.arange(L) % len(learner)  # the learner of each cell's rows
+    learner_buffers = [ReplayBuffer(tr_cfg.buffer_capacity)
+                       for _ in sample_rngs]
+    buffers = [learner_buffers[k] for k in owner]  # indexed by cell
+    train_steps = 0
     # Every buffer takes U ids of its cell's row each step, so after
     # ceil(capacity / U) steps it has evicted every older id: a ring of
     # that many steps never overwrites a row a buffer still holds. A
@@ -126,8 +106,9 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     log = MetricsLog()
     ledger = OverheadLedger(users_per_cell=U)
     artifacts = RunArtifacts(framework=framework, seed=seed, config=cfg,
-                             log=log, ledger=ledger, agent_nets=agent_nets,
-                             central_net=central)
+                             log=log, ledger=ledger, agent_nets=agents,
+                             central_net=learner[0] if behaviour.central
+                             else None)
 
     epsilon = tr_cfg.epsilon_start
 
@@ -140,9 +121,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 step_idx = episode * T + t
 
                 # --- act and advance ------------------------------------
-                actions = [select_action(agent_nets[ell], states[ell],
-                                         epsilon, action_rngs[ell])
-                           for ell in range(L)]
+                actions = select_action(agents, states, epsilon, action_rngs)
                 result = env.step(actions)
 
                 if not all(math.isfinite(r) for r in result.rewards):
@@ -169,52 +148,49 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 sent = sharing.deliver(mask, rows, buffers)
                 received = mask.sum(axis=(0, 1)).tolist()
 
-                charged = [behaviour.cost(ledger, sent.get(ell, 0))
-                           for ell in range(L)]
-                per_agent_exp = [c[0] for c in charged]
-                per_agent_scalars = [c[1] for c in charged]
+                per_agent_exp, per_agent_scalars = map(list, zip(*[
+                    behaviour.cost(ledger, sent.get(ell, 0))
+                    for ell in range(L)]))
 
                 # --- train -----------------------------------------------
                 losses = [math.nan] * L
-                if all(len(learner.buffer) >= tr_cfg.batch_size
-                       for learner in learners):
-                    for learner in learners:
-                        ids = learner.buffer.sample(tr_cfg.batch_size,
-                                                    learner.sample_rng)
-                        loss = train_step(learner.net, learner.target,
-                                          *table.batch(ids), tr_cfg.discount,
-                                          tr_cfg.learning_rate)
-                        learner.train_steps += 1
-                        artifacts.train_step_count += 1
-                        if learner.train_steps \
-                                % tr_cfg.target_refresh_steps == 0:
-                            learner.target.load_from(learner.net)
-                        for cell in learner.cells:
-                            losses[cell] = loss
-                if central is not None and \
+                if all(len(buffer) >= tr_cfg.batch_size
+                       for buffer in learner_buffers):
+                    ids = np.stack([
+                        buffer.sample(tr_cfg.batch_size, rng)
+                        for buffer, rng in zip(learner_buffers, sample_rngs)])
+                    step_losses = train_step(
+                        learner, target, *table.batch(ids), tr_cfg.discount,
+                        tr_cfg.learning_rate)
+                    train_steps += 1
+                    artifacts.train_step_count += len(learner_buffers)
+                    if train_steps % tr_cfg.target_refresh_steps == 0:
+                        target.load_from(learner)
+                    losses = step_losses[owner].tolist()
+                if behaviour.central and \
                         (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
-                    per_cell = sharing.ctde_sync(central, agent_nets,
-                                                 ledger) // L
-                    for ell in range(L):
-                        per_agent_scalars[ell] += per_cell
+                    per_cell = sharing.ctde_sync(learner, agents, ledger) // L
+                    per_agent_scalars = [n + per_cell for n in per_agent_scalars]
 
                 ledger.record_step(step_idx, per_agent_exp, per_agent_scalars)
-                _log_step(log, episode, t, result.sinr, train_rewards, losses,
-                          epsilon, per_agent_exp, received)
+                _log_step(log, episode, t, train_rewards, losses, epsilon,
+                          per_agent_exp, received)
                 states = next_states
 
             _log_episode(log, episode, env.sinr_history, tr_cfg.sumrate_mode)
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
+        # an SGD step stops after the learners before the faulty agent
+        artifacts.train_step_count += getattr(fault, "agent", 0)
         raise TrainingFault(str(fault), artifacts=artifacts) from fault
 
     artifacts.final_epsilon = epsilon
     return artifacts
 
 
-def evaluate(nets: Sequence[QNetwork], cfg: RunConfig, eval_episodes: int,
+def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
              seed: int) -> MetricsLog:
-    """Greedy rollouts: no exploration, no learning, no sharing."""
+    """Greedy rollouts of a per-cell stack: no learning, no sharing."""
     validate_config(cfg)
     net_cfg = cfg.network
     L = net_cfg.cells
@@ -222,16 +198,15 @@ def evaluate(nets: Sequence[QNetwork], cfg: RunConfig, eval_episodes: int,
         raise ContractViolation("need one network per cell")
     env = Environment(net_cfg, np.random.SeedSequence(seed))
     log = MetricsLog()
-    dummy_rng = np.random.default_rng(0)  # never consumed at epsilon=0
+    dummy_rngs = [np.random.default_rng(0)] * L  # unused at epsilon=0
 
     for episode in range(eval_episodes):
         env.reset()
         for t in range(cfg.training.steps_per_episode):
-            states = env.states()
-            result = env.step([select_action(nets[ell], states[ell], 0.0,
-                                             dummy_rng) for ell in range(L)])
-            _log_step(log, episode, t, result.sinr, result.rewards,
-                      [math.nan] * L, 0.0, [0] * L, [0] * L)
+            result = env.step(select_action(nets, env.states(), 0.0,
+                                            dummy_rngs))
+            _log_step(log, episode, t, result.rewards, [math.nan] * L, 0.0,
+                      [0] * L, [0] * L)
         _log_episode(log, episode, env.sinr_history,
                      cfg.training.sumrate_mode)
     return log

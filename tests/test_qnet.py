@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, gradient_mismatch, random_batch
 
@@ -151,34 +153,140 @@ def test_train_step_raises_on_nonfinite_loss():
             train_step(net, net.copy(), *bad, 0.995, 0.01)
 
 
+def _one_agent(state, net, epsilon, rng):
+    """select_action on a one-agent stack; the agent's action."""
+    actions = select_action(net, [state], epsilon, [rng])
+    assert actions.shape == (1,)
+    return actions[0]
+
+
 def test_select_action_greedy_and_ties():
-    net = QNetwork(2, 4)
+    net = QNetwork.stack([QNetwork(2, 4)])
     rng = np.random.default_rng(7)
     # all-zero head ties; the lowest index wins
-    assert select_action(net, [0.3, -0.2], 0.0, rng) == 0
-    net.b3 = np.array([0.0, 2.0, 2.0, 1.0])
-    assert select_action(net, [0.3, -0.2], 0.0, rng) == 1
+    assert _one_agent([0.3, -0.2], net, 0.0, rng) == 0
+    net.b3[0] = [0.0, 2.0, 2.0, 1.0]
+    assert _one_agent([0.3, -0.2], net, 0.0, rng) == 1
     for bad_eps in (-0.1, 1.0001):
         with pytest.raises(ContractViolation):
-            select_action(net, [0.3, -0.2], bad_eps, rng)
+            _one_agent([0.3, -0.2], net, bad_eps, rng)
 
 
 def test_select_action_explores_uniformly():
-    net = QNetwork(2, 16)
+    net = QNetwork.stack([QNetwork(2, 16)])
     rng = np.random.default_rng(8)
     n = 16000
     counts = np.zeros(16)
     for _ in range(n):
-        counts[select_action(net, [0.0, 0.0], 1.0, rng)] += 1
+        counts[_one_agent([0.0, 0.0], net, 1.0, rng)] += 1
     expected = n / 16.0
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < 37.70  # 99.9th percentile, 15 dof
 
 
 def test_greedy_ignores_rng_state():
-    net = QNetwork(2, 4)
-    net.b3 = np.array([0.0, 1.0, 0.0, 0.0])
+    net = QNetwork.stack([QNetwork(2, 4)])
+    net.b3[0] = [0.0, 1.0, 0.0, 0.0]
     r1 = np.random.default_rng(9)
     r2 = np.random.default_rng(10)
-    picks = {select_action(net, [0.1, 0.1], 0.0, r) for r in (r1, r2)}
+    picks = {_one_agent([0.1, 0.1], net, 0.0, r) for r in (r1, r2)}
     assert picks == {1}
+
+
+# --- a stack of K agents against unstacked calls on each agent ----------
+
+_stacks = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+                    st.integers(1, 5), st.integers(1, 6),
+                    st.integers(0, 2 ** 32 - 1))
+
+
+def _stack_case(agents, inputs, h1, h2, size, seed):
+    """A random K-agent stack, its target stack and (K, B) minibatches
+    drawn per agent."""
+    rng = np.random.default_rng(seed)
+    outputs = 1 + int(rng.integers(6))
+    nets = [QNetwork(inputs, outputs, hidden=(h1, h2), rng=rng,
+                     init_gain=1.0) for _ in range(agents)]
+    targets = [QNetwork(inputs, outputs, hidden=(h1, h2), rng=rng,
+                        init_gain=1.0) for _ in range(agents)]
+    for net in nets + targets:
+        for bias in (net.b1, net.b2, net.b3):
+            bias[...] = rng.normal(size=bias.shape)
+    batches = [random_batch(rng, inputs, outputs, size)
+               for _ in range(agents)]
+    stacked = tuple(np.stack(column) for column in zip(*batches))
+    return nets, targets, batches, stacked
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks)
+def test_stacked_forward_and_gradients_equal_per_agent_calls(case):
+    nets, targets, batches, stacked = _stack_case(*case)
+    net, target = QNetwork.stack(nets), QNetwork.stack(targets)
+    q, _ = forward_batch(net, stacked[0])
+    losses, grads = loss_and_gradients(net, target, *stacked, 0.9)
+    assert losses.shape == (len(nets),)
+    for k, (one, one_target, batch) in enumerate(
+            zip(nets, targets, batches)):
+        assert np.array_equal(q[k], forward_batch(one, batch[0])[0])
+        assert np.array_equal(forward_batch(net[k], batch[0])[0], q[k])
+        loss, grad = loss_and_gradients(one, one_target, *batch, 0.9)
+        assert losses[k] == loss
+        for name in grad:
+            assert np.array_equal(grads[name][k], grad[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks)
+def test_stacked_train_step_equals_per_agent_steps(case):
+    nets, targets, batches, stacked = _stack_case(*case)
+    net, target = QNetwork.stack(nets), QNetwork.stack(targets)
+    views = [net[k] for k in range(len(nets))]
+    losses = train_step(net, target, *stacked, 0.9, 0.05)
+    for k, (one, one_target, batch) in enumerate(
+            zip(nets, targets, batches)):
+        assert losses[k] == train_step(one, one_target, *batch, 0.9, 0.05)
+        assert net[k].equal_weights(one)
+        # views taken before the step see the stack's update
+        assert views[k].equal_weights(one)
+
+
+def test_stacked_train_step_stops_at_the_first_bad_agent():
+    nets, targets, _batches, stacked = _stack_case(3, 4, 5, 5, 4, 11)
+    net, target = QNetwork.stack(nets), QNetwork.stack(targets)
+    before = net.copy()
+    rewards = stacked[2].copy()
+    rewards[1, 0] = np.inf
+    rewards[2, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingFault,
+                           match="non-finite training loss inf") as info:
+            train_step(net, target, stacked[0], stacked[1], rewards,
+                       stacked[3], 0.9, 0.05)
+    assert info.value.agent == 1
+    # agent 0 stepped as it would alone; agents 1 and 2 did not
+    train_step(nets[0], targets[0], *(c[0] for c in stacked), 0.9, 0.05)
+    assert net[0].equal_weights(nets[0])
+    assert net[1:].equal_weights(before[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks, st.sampled_from([0.0, 1.0, 0.3, 0.7]))
+def test_stacked_select_action_equals_per_agent_choices(case, epsilon):
+    nets, _targets, batches, _stacked = _stack_case(*case)
+    net = QNetwork.stack(nets)
+    states = np.array([batch[0][0] for batch in batches])
+    seed = case[-1]
+    rngs = [np.random.default_rng([seed, k]) for k in range(len(nets))]
+    actions = select_action(net, states, epsilon, rngs)
+    for k, one in enumerate(nets):
+        # the per-agent rule: random(), then maybe integers(), from the
+        # agent's own stream; otherwise the lowest argmax of its Q-values
+        rng = np.random.default_rng([seed, k])
+        if epsilon > 0.0 and rng.random() < epsilon:
+            want = rng.integers(one.output_size)
+        else:
+            want = np.argmax(q_forward(one, states[k]))
+        assert actions[k] == want
+        # and every stream was left where the per-agent rule leaves it
+        assert rngs[k].random() == rng.random()

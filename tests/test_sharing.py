@@ -145,7 +145,8 @@ def test_crdu_reward_product_and_punishment():
 def test_ctde_sync_copies_weights_and_counts_scalars():
     rng = np.random.default_rng(1)
     central = QNetwork(4, 4, hidden=(6, 5), rng=rng)
-    agents = [QNetwork(4, 4, hidden=(6, 5), rng=rng) for _ in range(3)]
+    agents = QNetwork.stack([QNetwork(4, 4, hidden=(6, 5), rng=rng)
+                             for _ in range(3)])
     ledger = OverheadLedger(users_per_cell=2)
     scalars = ctde_sync(central, agents, ledger)
     assert scalars == 3 * central.parameter_count()

@@ -47,7 +47,7 @@ def test_training_is_deterministic():
 
 class StepRecorder:
     """Wraps the trainer's phase functions and records, in call order,
-    (phase, step) events: one "act" per action, one "store" per cell
+    (phase, step) events: one "act" per returned action, one "store" per cell
     row written to the transition table, one "deliver", "train" or
     "sync" per call. Also keeps every step's (L, U) interference
     estimates as Environment.step returned them."""
@@ -87,8 +87,11 @@ class StepRecorder:
         inner = getattr(module, name)
 
         def record(*args, **kwargs):
-            self.events.append(
-                (phase, self.step + 1 if phase == "act" else self.step))
+            if phase == "act":
+                actions = inner(*args, **kwargs)
+                self.events.extend(("act", self.step + 1) for _ in actions)
+                return actions
+            self.events.append((phase, self.step))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
@@ -224,18 +227,24 @@ def test_share_nothing_has_zero_overhead():
                for r in artifacts.log.step_rows)
 
 
-def test_sumrate_modes_agree_with_step_sinrs():
+def test_sumrate_modes_agree_with_step_sinrs(monkeypatch):
+    env_step = Environment.step
+    step_sinrs = []
+
+    def record_sinr(env, actions):
+        result = env_step(env, actions)
+        step_sinrs.append(result.sinr.copy())
+        return result
+
+    monkeypatch.setattr(Environment, "step", record_sinr)
     for mode in ("final", "mean"):
         cfg = small_run_config(sumrate_mode=mode)
+        step_sinrs.clear()
         artifacts = run_training(cfg, "share-nothing", seed=10)
         T = cfg.training.steps_per_episode
+        assert len(step_sinrs) == cfg.training.episodes * T
         for episode, rate in artifacts.log.sumrate_rows:
-            rows = [r for r in artifacts.log.step_rows
-                    if r.episode == episode]
-            per_step = {}
-            for r in rows:
-                per_step.setdefault(r.step, []).extend(r.sinrs)
-            rates = [network_sum_rate(np.array(per_step[t]))
+            rates = [network_sum_rate(step_sinrs[episode * T + t])
                      for t in range(T)]
             want = rates[-1] if mode == "final" else float(np.mean(rates))
             assert rate == pytest.approx(want, rel=1e-9)
@@ -271,7 +280,8 @@ def test_evaluate_is_greedy_and_deterministic():
     cfg = small_run_config()
     state_len = 4 * cfg.network.users_per_cell
     n_actions = 4 ** cfg.network.users_per_cell
-    nets = [QNetwork(state_len, n_actions) for _ in range(2)]
+    nets = QNetwork.stack([QNetwork(state_len, n_actions)
+                           for _ in range(2)])
     first = evaluate(nets, cfg, eval_episodes=3, seed=13)
     second = evaluate(nets, cfg, eval_episodes=3, seed=13)
     assert _rows_equal(metrics_csv_rows(first), metrics_csv_rows(second))
