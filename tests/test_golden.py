@@ -12,6 +12,7 @@ matrix products differently and so produce other digests.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -34,6 +35,10 @@ THREE_CELL_DIGEST = \
 # buffer wraps many times
 WRAPPING_DIGEST = \
     "4ab28f8f544b5f4c896a3f52edbdec5ed396290b9d49d8c626b3dd1183e5ec7a"
+# `cellshare train --framework smart` on seven cells (one hex ring),
+# measured attribution
+SEVEN_CELL_DIGEST = \
+    "668529608103e023294ddb9e8a491fd6a3aa92a434719887884191f686482f60"
 # `cellshare oracle` on two cells with one user each
 ORACLE_DIGEST = \
     "c1d8ace5fc2e80292f20f8468096aa55b4c903754626a24f8c1e8343f2ebe049"
@@ -121,6 +126,24 @@ def test_wrapping_replay_run_is_pinned(tmp_path):
                  "--out", str(out)])
     assert code == EXIT_OK
     assert _tree_digest(out) == WRAPPING_DIGEST
+
+
+def test_seven_cell_smart_run_is_pinned(tmp_path):
+    # one full hex ring: every cell's SINR reports are measured and the
+    # estimates gate the share mask, so some experiences go out and some
+    # stay home
+    cfg = _short_desk_config()
+    cfg.network.cells = 7
+    assert cfg.sharing.attribution == "measured"
+    out = tmp_path / "seven"
+    code = main(["train", "--config", _config_file(tmp_path, cfg),
+                 "--framework", "smart", "--seed", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    info = json.loads((out / "run.json").read_text())
+    assert info["train_step_count"] > 0
+    assert info["experiences_shared_total"] > 0
+    assert 0.0 < info["zero_share_fraction"] < 1.0
+    assert _tree_digest(out) == SEVEN_CELL_DIGEST
 
 
 def test_oracle_csv_is_pinned(tmp_path):
