@@ -7,7 +7,9 @@ index +-1 moves to the adjacent beam. A codebook depends only on
 read-only, and a caller who needs a changed codebook must copy them
 first. Channels follow a multipath ray model with log-distance path
 loss and first-order autoregressive fading whose correlation comes from
-the Jakes model at the configured speed.
+the Jakes model at the configured speed. Departure angles are fixed for
+an episode, so each path's steering vector is built once, at the fresh
+draw, and every later step of the episode reuses it.
 """
 
 from __future__ import annotations
@@ -166,13 +168,15 @@ class ChannelSet:
     """Downlink channels of every (serving-cell, source-cell, user) triple.
 
     vectors[l, j, u] is the channel from BS j to user u of cell l. Path
-    gains and departure angles are kept so the next step can evolve the
-    small-scale fading while geometry-driven quantities are recomputed.
+    gains and per-path steering vectors are kept so the next step can
+    evolve the small-scale fading while geometry-driven quantities are
+    recomputed. steering[l, j, u, p] is exp(i*pi*sin(a)*m)/sqrt(M) over
+    antennas m for the path's departure angle a, fixed per episode.
     """
 
-    vectors: np.ndarray  # (L, L, U, M) complex
-    gains: np.ndarray    # (L, L, U, P) complex per-path gains, unit variance
-    angles: np.ndarray   # (L, L, U, P) departure angles, fixed per episode
+    vectors: np.ndarray   # (L, L, U, M) complex
+    gains: np.ndarray     # (L, L, U, P) complex per-path gains, unit variance
+    steering: np.ndarray  # (L, L, U, P, M) complex, fixed per episode
 
     @property
     def shape(self):
@@ -184,9 +188,11 @@ def sample_channels(layout: CellLayout, users: UserSet,
                     prev: Optional[ChannelSet] = None) -> ChannelSet:
     """Draw or evolve all channels for the current user positions.
 
-    Without prev, departure angles and path gains are drawn fresh. With
-    prev, angles persist and gains follow g' = rho*g + sqrt(1-rho^2)*w
-    with w standard circular Gaussian, preserving the marginal law.
+    Without prev, departure angles and path gains are drawn fresh and
+    the angles are turned into steering vectors. With prev, the steering
+    vectors persist (the same array) and gains follow
+    g' = rho*g + sqrt(1-rho^2)*w with w standard circular Gaussian,
+    preserving the marginal law.
     """
     L = layout.cells
     U = users.users_per_cell
@@ -199,24 +205,21 @@ def sample_channels(layout: CellLayout, users: UserSet,
         angles = rng.uniform(0.0, np.pi, size=(L, L, U, P))
         gains = (rng.standard_normal((L, L, U, P))
                  + 1j * rng.standard_normal((L, L, U, P))) / math.sqrt(2.0)
+        steering = np.exp(1j * np.pi * np.sin(angles)[..., None]
+                          * np.arange(M)) / math.sqrt(M)
     else:
         if prev.vectors.shape != (L, L, U, M):
             raise ContractViolation(
                 "previous ChannelSet shape %r does not match scenario %r"
                 % (prev.vectors.shape, (L, L, U, M)))
         rho = doppler_correlation(config)
-        angles = prev.angles
+        steering = prev.steering
         if rho >= 1.0:
             gains = prev.gains
         else:
             noise = (rng.standard_normal((L, L, U, P))
                      + 1j * rng.standard_normal((L, L, U, P))) / math.sqrt(2.0)
             gains = rho * prev.gains + math.sqrt(1.0 - rho * rho) * noise
-
-    # steering matrix per (l, j, u): (P, M)
-    m_idx = np.arange(M)
-    steer = np.exp(1j * np.pi * np.sin(angles)[..., None] * m_idx) \
-        / math.sqrt(M)
 
     # distance from source BS j to user (l, u)
     diff = users.positions[:, None, :, :] - layout.positions[None, :, None, :]
@@ -226,5 +229,6 @@ def sample_channels(layout: CellLayout, users: UserSet,
         ** (-config.pathloss_exponent)
 
     scale = np.sqrt(M * pl / P)
-    vectors = scale[..., None] * np.einsum("ljup,ljupm->ljum", gains, steer)
-    return ChannelSet(vectors=vectors, gains=gains, angles=angles)
+    vectors = scale[..., None] * np.einsum("ljup,ljupm->ljum", gains,
+                                           steering)
+    return ChannelSet(vectors=vectors, gains=gains, steering=steering)

@@ -6,7 +6,8 @@ power and intra-cell interference from local knowledge, divide the
 user-reported SINR out of the serving power to get total received
 power-plus-noise, and subtract the known parts. When the report comes
 from the same power/beam/channel snapshot the estimate matches the true
-aggregate to float precision.
+aggregate to float precision. Every cell does this at once: one stacked
+product over the serving-CSI diagonal, with cells as the leading axis.
 
 ``received_powers`` and ``sinr`` take optional leading batch axes: with
 powers and beams of shape (..., L, U), every field of the PowerTable and
@@ -111,30 +112,32 @@ def measure_inter_cell(reported_sinr: np.ndarray, prev_powers_mw: np.ndarray,
     """Estimate aggregate inter-cell interference from SINR reports.
 
     Each BS uses only its own cell's channels, powers and beams: the
-    slice [l, l, u] of the channel tensor. Raises MeasurementError for
-    non-positive reports (a real report of a received signal is > 0).
+    slice [l, l, u] of the channel tensor. All cells are measured in one
+    call: the (L, U, M) serving diagonal times the (L, M, U) beams gives
+    every cell's (victim, beam) gains at once. Reports, powers and beams
+    must all be (L, U). Raises MeasurementError for non-positive reports
+    (a real report of a received signal is > 0).
     """
     L, _, U, _ = prev_channels.vectors.shape
     reported_sinr = np.asarray(reported_sinr, dtype=float)
+    prev_powers_mw = np.asarray(prev_powers_mw, dtype=float)
+    prev_beams = np.asarray(prev_beams)
     if reported_sinr.shape != (L, U):
         raise ContractViolation("reported SINR must be (L, U)")
+    if prev_powers_mw.shape != (L, U) or prev_beams.shape != (L, U):
+        raise ContractViolation("powers and beam indices must be (L, U)")
     if np.any(~np.isfinite(reported_sinr)) or np.any(reported_sinr <= 0.0):
         raise MeasurementError("SINR reports must be positive and finite")
 
-    prev_powers_mw = np.asarray(prev_powers_mw, dtype=float)
-    prev_beams = np.asarray(prev_beams)
-    w = codebook.vectors[prev_beams]  # (L, U, M)
-
-    estimates = np.empty((L, U), dtype=float)
+    ell = np.arange(L)
     u = np.arange(U)
-    for ell in range(L):
-        h = prev_channels.vectors[ell, ell]            # (U, M) local CSI only
-        inner = np.abs(np.conj(h) @ w[ell].T) ** 2     # (U victim, U beam)
-        per_user = prev_powers_mw[ell][None, :] * inner
-        serving = per_user[u, u].copy()
-        off_diag = per_user.copy()
-        off_diag[u, u] = 0.0
-        intra = off_diag.sum(axis=1)
-        total_received = serving / reported_sinr[ell]  # noise + intra + inter
-        estimates[ell] = total_received - noise_mw - intra
-    return estimates
+    h = prev_channels.vectors[ell, ell]  # (L, U, M) local CSI only
+    w = codebook.vectors[prev_beams]     # (L, U, M)
+    # (L, U victim, U beam)
+    inner = np.abs(np.conj(h) @ w.swapaxes(-1, -2)) ** 2
+    per_user = prev_powers_mw[:, None, :] * inner
+    serving = per_user[:, u, u]  # a copy, taken before the diagonal is cleared
+    per_user[:, u, u] = 0.0
+    intra = per_user.sum(axis=-1)
+    total_received = serving / reported_sinr  # noise + intra + inter
+    return total_received - noise_mw - intra

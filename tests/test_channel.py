@@ -126,14 +126,28 @@ def test_channel_evolution_keeps_marginals():
     rng = np.random.default_rng(8)
     users = spawn_users(layout, 3, net.cell_radius, rng)
     chan = sample_channels(layout, users, net, rng)
-    angles0 = chan.angles.copy()
+    steering0 = chan.steering.copy()
     acc = []
     for _ in range(300):
         chan = sample_channels(layout, users, net, rng, prev=chan)
         acc.append(np.abs(chan.gains) ** 2)
-    # departure angles persist, per-path power stays unit on average
-    assert np.array_equal(chan.angles, angles0)
+    # steering vectors persist, per-path power stays unit on average
+    assert np.array_equal(chan.steering, steering0)
     assert np.mean(acc) == pytest.approx(1.0, rel=0.05)
+
+
+def test_fresh_steering_is_unit_modulus_from_antenna_zero():
+    net = default_config().network
+    layout = build_layout(3, net.inter_site_distance)
+    rng = np.random.default_rng(9)
+    users = spawn_users(layout, 2, net.cell_radius, rng)
+    steering = sample_channels(layout, users, net, rng).steering
+    M = net.antennas
+    assert steering.shape == (3, 3, 2, net.paths, M)
+    assert np.allclose(np.abs(steering), 1.0 / math.sqrt(M),
+                       rtol=1e-15, atol=0.0)
+    # antenna 0 is the phase reference of every path
+    assert np.all(steering[..., 0] == 1.0 / math.sqrt(M))
 
 
 def test_channel_mean_energy_matches_path_loss():
@@ -182,5 +196,5 @@ def test_matched_beams_tie_breaks_low():
     zero = ChannelSet(
         vectors=np.zeros((2, 2, 3, net.antennas), dtype=complex),
         gains=np.zeros((2, 2, 3, net.paths), dtype=complex),
-        angles=np.zeros((2, 2, 3, net.paths)))
+        steering=np.zeros((2, 2, 3, net.paths, net.antennas), dtype=complex))
     assert np.all(matched_beams(zero, cb) == 0)

@@ -43,7 +43,7 @@ def test_brute_force_zero_channels_ties_to_first_combo():
     cb = beam_codebook(2, 1)
     channels = ChannelSet(vectors=np.zeros((2, 2, 1, 2), dtype=complex),
                           gains=np.zeros((2, 2, 1, 3), dtype=complex),
-                          angles=np.zeros((2, 2, 1, 3)))
+                          steering=np.zeros((2, 2, 1, 3, 2), dtype=complex))
     powers = np.full((2, 1), 10.0)
     beams = np.zeros((2, 1), dtype=int)
     combo, rate = brute_force_step(channels, powers, beams, cfg, cb)
@@ -126,7 +126,7 @@ def test_chunked_searches_match_one_chunk(monkeypatch):
                                             grid_cfg, grid_codebook)
     # all 4096 rates tie at 0: later chunks must not replace the first
     silent = ChannelSet(vectors=np.zeros_like(channels.vectors),
-                        gains=channels.gains, angles=channels.angles)
+                        gains=channels.gains, steering=channels.steering)
     assert brute_force_step(silent, powers, beams, net_cfg,
                             codebook) == ((0, 0), 0.0)
 

@@ -93,7 +93,7 @@ def test_estimator_hand_example():
     vectors[1, 1, :, 0] = 1.0
     channels = ChannelSet(vectors=vectors,
                           gains=np.zeros((2, 2, 2, 3), dtype=complex),
-                          angles=np.zeros((2, 2, 2, 3)))
+                          steering=np.zeros((2, 2, 2, 3, 1), dtype=complex))
     powers_mw = np.array([[1e-8, 3.162e-10], [1e-8, 1e-8]])
     beams = np.zeros((2, 2), dtype=int)
     reported = np.array([[10.0, 1.0], [1.0, 1.0]])
@@ -128,6 +128,68 @@ def test_estimator_rejects_unusable_reports():
         with pytest.raises(MeasurementError):
             measure_inter_cell(reported, powers_mw, beams, channels,
                                net_cfg.noise_mw, codebook)
+
+
+def _per_cell_estimates(reported_sinr, powers_mw, beams, channels,
+                        noise_mw, codebook):
+    """The estimator written one cell at a time, as a reference."""
+    L, _, U, _ = channels.vectors.shape
+    w = codebook.vectors[beams]
+    estimates = np.empty((L, U), dtype=float)
+    u = np.arange(U)
+    for ell in range(L):
+        h = channels.vectors[ell, ell]
+        inner = np.abs(np.conj(h) @ w[ell].T) ** 2
+        per_user = powers_mw[ell][None, :] * inner
+        serving = per_user[u, u].copy()
+        off_diag = per_user.copy()
+        off_diag[u, u] = 0.0
+        intra = off_diag.sum(axis=1)
+        total_received = serving / reported_sinr[ell]
+        estimates[ell] = total_received - noise_mw - intra
+    return estimates
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 8),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_stacked_estimator_equals_per_cell_loop(cells, users, antennas,
+                                                bits, seed):
+    net_cfg = default_config().network
+    net_cfg.cells = cells
+    net_cfg.users_per_cell = users
+    net_cfg.antennas = antennas
+    net_cfg.codebook_bits = bits
+    net_cfg, _, _, channels, codebook = random_snapshot(seed, net_cfg=net_cfg)
+    rng = np.random.default_rng(seed)
+    powers_mw, beams = _random_controls(net_cfg, rng)
+    reported = rng.lognormal(0.0, 3.0, size=(cells, users))
+    est = measure_inter_cell(reported, powers_mw, beams, channels,
+                             net_cfg.noise_mw, codebook)
+    assert est.shape == (cells, users)
+    assert np.array_equal(est, _per_cell_estimates(
+        reported, powers_mw, beams, channels, net_cfg.noise_mw, codebook))
+
+
+def test_estimator_rejects_misshapen_controls():
+    net_cfg, _, _, channels, codebook = random_snapshot(8)
+    rng = np.random.default_rng(8)
+    powers_mw, beams = _random_controls(net_cfg, rng)
+    reported = np.full(powers_mw.shape, 2.0)
+    # one cell's row, a batch axis, a dropped user: each would broadcast
+    # or index into estimates of the wrong cells
+    for bad_powers, bad_beams in ((powers_mw[0], beams),
+                                  (powers_mw, beams[0]),
+                                  (powers_mw[None], beams),
+                                  (powers_mw, beams[None]),
+                                  (powers_mw[:, :-1], beams),
+                                  (powers_mw, beams[:, :-1])):
+        with pytest.raises(ContractViolation):
+            measure_inter_cell(reported, bad_powers, bad_beams, channels,
+                               net_cfg.noise_mw, codebook)
+    with pytest.raises(ContractViolation):
+        measure_inter_cell(reported[:, :-1], powers_mw, beams, channels,
+                           net_cfg.noise_mw, codebook)
 
 
 def test_received_powers_contract_checks():
