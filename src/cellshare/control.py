@@ -127,8 +127,3 @@ def initial_powers_dbm(config: NetworkConfig) -> np.ndarray:
     if value < config.min_ue_power_dbm:
         value = config.min_ue_power_dbm
     return np.full(config.users_per_cell, value, dtype=float)
-
-
-def initial_beams(config: NetworkConfig) -> np.ndarray:
-    """Start every user in the middle of the codebook."""
-    return np.full(config.users_per_cell, config.codebook_size // 2, dtype=int)

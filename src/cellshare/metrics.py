@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ SUMRATE_HEADER = ("episode", "sum_rate")
 OVERHEAD_HEADER = ("step", "agent", "experiences_tx", "scalars_tx")
 
 
-@dataclass
-class StepRow:
+class StepRow(NamedTuple):
     episode: int
     step: int
     agent: int
@@ -42,9 +41,6 @@ class MetricsLog:
     # one row per (episode, cell, user): the episode's effective SINR (dB)
     sinr_rows: List[Tuple[int, int, int, float]] = field(default_factory=list)
     sumrate_rows: List[Tuple[int, float]] = field(default_factory=list)
-
-    def add_step(self, row: StepRow) -> None:
-        self.step_rows.append(row)
 
     def add_episode(self, episode: int, effective_sinr: np.ndarray,
                     sum_rate: float) -> None:
@@ -128,17 +124,12 @@ def read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
     return header, rows
 
 
-def metrics_csv_rows(log: MetricsLog) -> List[Tuple]:
-    return [(r.episode, r.step, r.agent, r.reward, r.loss, r.epsilon,
-             r.shared_tx, r.shared_rx) for r in log.step_rows]
-
-
 def write_run_outputs(out_dir: str, log: MetricsLog, ledger_rows: List[Tuple],
                       run_info: Dict) -> None:
     """Write the four CSVs plus the resolved-config snapshot."""
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "metrics.csv"), METRICS_HEADER,
-              metrics_csv_rows(log))
+              log.step_rows)
     write_csv(os.path.join(out_dir, "sinr_samples.csv"), SINR_HEADER,
               log.sinr_rows)
     write_csv(os.path.join(out_dir, "sumrate.csv"), SUMRATE_HEADER,

@@ -55,6 +55,16 @@ def _beam_gain(channels: np.ndarray, beams: np.ndarray,
     return np.abs(inner) ** 2
 
 
+def _check_controls(powers_mw: np.ndarray, beam_indices: np.ndarray,
+                    codebook: Codebook) -> None:
+    """Refuse negative powers and beam indices outside the codebook (a
+    negative index would silently wrap in ``codebook.vectors[beams]``)."""
+    if np.any(powers_mw < 0):
+        raise ContractViolation("transmit powers must be non-negative")
+    if np.any(beam_indices < 0) or np.any(beam_indices >= codebook.size):
+        raise ContractViolation("beam index outside codebook")
+
+
 def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
                     beam_indices: np.ndarray, codebook: Codebook) -> PowerTable:
     """Decompose every user's received power into serving/intra/inter.
@@ -69,10 +79,7 @@ def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
             or beam_indices.shape != powers_mw.shape:
         raise ContractViolation(
             "powers and beam indices must be (..., L, U) of one shape")
-    if np.any(powers_mw < 0):
-        raise ContractViolation("transmit powers must be non-negative")
-    if np.any(beam_indices < 0) or np.any(beam_indices >= codebook.size):
-        raise ContractViolation("beam index outside codebook")
+    _check_controls(powers_mw, beam_indices, codebook)
     if codebook.antennas != M:
         raise ContractViolation("codebook antenna count does not match channels")
 
@@ -115,7 +122,8 @@ def measure_inter_cell(reported_sinr: np.ndarray, prev_powers_mw: np.ndarray,
     slice [l, l, u] of the channel tensor. All cells are measured in one
     call: the (L, U, M) serving diagonal times the (L, M, U) beams gives
     every cell's (victim, beam) gains at once. Reports, powers and beams
-    must all be (L, U). Raises MeasurementError for non-positive reports
+    must all be (L, U), powers non-negative and beams inside the
+    codebook. Raises MeasurementError for non-positive reports
     (a real report of a received signal is > 0).
     """
     L, _, U, _ = prev_channels.vectors.shape
@@ -126,6 +134,7 @@ def measure_inter_cell(reported_sinr: np.ndarray, prev_powers_mw: np.ndarray,
         raise ContractViolation("reported SINR must be (L, U)")
     if prev_powers_mw.shape != (L, U) or prev_beams.shape != (L, U):
         raise ContractViolation("powers and beam indices must be (L, U)")
+    _check_controls(prev_powers_mw, prev_beams, codebook)
     if np.any(~np.isfinite(reported_sinr)) or np.any(reported_sinr <= 0.0):
         raise MeasurementError("SINR reports must be positive and finite")
 

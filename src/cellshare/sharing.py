@@ -13,16 +13,18 @@ Five frameworks are supported by the trainer:
 * ``ctde``           one central network trained on a pooled buffer whose
                      weights are broadcast back to the acting agents.
 
-``BEHAVIOUR`` holds each one as data for the trainer: the rewards its
-agents train on, the share rule that returns a step's (sender, user,
-receiver) boolean mask of experiences to send (None: no exchange;
-never a cell to itself), whether one central learner trains on every cell's rows
-(its weights broadcast by ``ctde_sync``) or each agent trains its own,
-and the (experiences, scalars) the ledger charges a cell per step.
-``FRAMEWORKS`` lists the names in order.
+``BEHAVIOUR`` holds each one as plain data for the trainer: the share
+rule that returns a step's (sender, user, receiver) boolean mask of
+experiences to send (None: no exchange; never a cell to itself),
+whether one central learner trains on every cell's rows (its weights
+broadcast by ``ctde_sync``) or each agent trains its own, and whether
+the agents train on ``crdu_reward``'s common reward. ``FRAMEWORKS``
+lists the names in order.
 
-The ledger counts plain scalars so shared experiences, CRDU reward
-broadcasts and CTDE weight pushes stay comparable.
+The trainer works out each step's charge from the share mask and that
+row; the ledger only records it. It counts plain scalars so shared
+experiences, CRDU reward broadcasts and CTDE weight pushes stay
+comparable.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .qnet import QNetwork
-from .replay import ReplayBuffer, experience_scalars
+from .replay import ReplayBuffer
 
 ATTRIBUTION_MODES = ("measured", "genie")
 
@@ -43,36 +45,22 @@ ATTRIBUTION_MODES = ("measured", "genie")
 class OverheadLedger:
     """Per-(step, agent) transmission counts plus running totals."""
 
-    users_per_cell: int
-    rows: List[tuple] = field(default_factory=list)  # (step, agent, exp, scalars)
+    # one (step, agent, experiences, scalars) int row per agent and step
+    rows: List[Tuple[int, int, int, int]] = field(default_factory=list)
     experiences_total: int = 0
     scalars_total: int = 0
-    experience_scalars_total: int = 0
-    weight_scalars_total: int = 0
-    reward_scalars_total: int = 0
 
-    def record_step(self, step: int, per_agent_experiences: Sequence[int],
-                    per_agent_scalars: Sequence[int]) -> None:
-        for agent, (n_exp, n_scal) in enumerate(
-                zip(per_agent_experiences, per_agent_scalars)):
-            if n_exp < 0 or n_scal < 0:
-                raise ContractViolation("ledger counts must be non-negative")
-            self.rows.append((step, agent, int(n_exp), int(n_scal)))
-            self.experiences_total += int(n_exp)
-            self.scalars_total += int(n_scal)
-
-    def add_experience_scalars(self, count: int) -> int:
-        scalars = count * experience_scalars(self.users_per_cell)
-        self.experience_scalars_total += scalars
-        return scalars
-
-    def add_weight_scalars(self, count: int) -> int:
-        self.weight_scalars_total += count
-        return count
-
-    def add_reward_scalars(self, count: int) -> int:
-        self.reward_scalars_total += count
-        return count
+    def record_step(self, step: int, experiences: np.ndarray,
+                    scalars: np.ndarray) -> None:
+        """Record one step's (L,) per-agent experience and scalar counts."""
+        experiences, scalars = experiences.tolist(), scalars.tolist()
+        if min(experiences) < 0 or min(scalars) < 0:
+            raise ContractViolation("ledger counts must be non-negative")
+        self.rows.extend(
+            (step, agent, n_exp, n_scal) for agent, (n_exp, n_scal)
+            in enumerate(zip(experiences, scalars)))
+        self.experiences_total += sum(experiences)
+        self.scalars_total += sum(scalars)
 
     def zero_share_fraction(self) -> float:
         if not self.rows:
@@ -142,37 +130,24 @@ def crdu_reward(cell_rewards: Sequence[float], punishment: float) -> float:
     return out
 
 
-def ctde_sync(central: QNetwork, agents: QNetwork,
-              ledger: OverheadLedger | None = None) -> int:
+def ctde_sync(central: QNetwork, agents: QNetwork) -> int:
     """Copy the central weights into every agent; returns scalars sent."""
     agents.load_from(central)
-    scalars = agents.parameter_count()
-    if ledger is not None:
-        ledger.add_weight_scalars(scalars)
-    return scalars
+    return agents.parameter_count()
 
 
 @dataclass(frozen=True)
 class Framework:
     """One ``BEHAVIOUR`` entry; see the module docstring."""
 
-    rewards: Callable[[List[float], float], List[float]]
     share: Optional[Callable[..., np.ndarray]]
     central: bool
-    cost: Callable[[OverheadLedger, int], Tuple[int, int]]
+    common_reward: bool
 
 
-# The table's functions reach the share rules and crdu_reward through
-# this module's names at call time, so a wrapper installed on those
-# names (a tracer, a test double) sees every call the trainer makes.
-def _own(cell_rewards, punishment):
-    return cell_rewards
-
-
-def _common(cell_rewards, punishment):
-    return [crdu_reward(cell_rewards, punishment)] * len(cell_rewards)
-
-
+# The share rules reach smart_select and share_all through this
+# module's names at call time, so a wrapper installed on those names (a
+# tracer, a test double) sees every call the trainer makes.
 def _smart(estimates_mw, per_source_mw, threshold_mw, mode):
     return smart_select(estimates_mw, per_source_mw, threshold_mw, mode)
 
@@ -181,25 +156,12 @@ def _all(estimates_mw, per_source_mw, threshold_mw, mode):
     return share_all(*estimates_mw.shape)
 
 
-def _sent(ledger, sent):
-    return sent, ledger.add_experience_scalars(sent)
-
-
-def _reward_scalar(ledger, sent):
-    return 0, ledger.add_reward_scalars(1)
-
-
-def _uploads(ledger, sent):
-    users = ledger.users_per_cell
-    return users, ledger.add_experience_scalars(users)
-
-
 BEHAVIOUR: Dict[str, Framework] = {
-    #                          rewards  share   central cost
-    "smart":         Framework(_own,    _smart, False,  _sent),
-    "share-all":     Framework(_own,    _all,   False,  _sent),
-    "share-nothing": Framework(_own,    None,   False,  _sent),
-    "crdu":          Framework(_common, None,   False,  _reward_scalar),
-    "ctde":          Framework(_own,    None,   True,   _uploads),
+    #                          share   central common_reward
+    "smart":         Framework(_smart, False,  False),
+    "share-all":     Framework(_all,   False,  False),
+    "share-nothing": Framework(None,   False,  False),
+    "crdu":          Framework(None,   False,  True),
+    "ctde":          Framework(None,   True,   False),
 }
 FRAMEWORKS = tuple(BEHAVIOUR)

@@ -8,8 +8,9 @@ share rule's (sender, user, receiver) mask of experiences is delivered
 as ids (the barrier), then the learner stack (one network per cell, or
 ctde's one central network) takes one stacked gradient step on one
 minibatch per buffer, gated until every buffer is full. What differs
-between frameworks (the training reward, the share rule, the learners,
-the ledger cost) comes from ``sharing.BEHAVIOUR``; the environment
+between frameworks (own or common training reward, the share rule, the
+learners) comes from ``sharing.BEHAVIOUR``; each cell's ledger charge
+follows from the step's share mask and that row. The environment
 advance is ``Environment.step``.
 """
 
@@ -27,7 +28,7 @@ from .environment import Environment
 from .errors import ContractViolation, TrainingFault
 from .metrics import MetricsLog, StepRow, network_sum_rate
 from .qnet import QNetwork, select_action, train_step
-from .replay import ReplayBuffer, TransitionTable
+from .replay import ReplayBuffer, TransitionTable, experience_scalars
 from .sharing import OverheadLedger
 
 
@@ -47,9 +48,10 @@ class RunArtifacts:
 def _log_step(log: MetricsLog, episode: int, t: int, rewards: Sequence[float],
               losses: Sequence[float], epsilon: float, sent: Sequence[int],
               received: Sequence[int]) -> None:
-    for ell in range(len(rewards)):
-        log.add_step(StepRow(episode, t, ell, rewards[ell], losses[ell],
-                             epsilon, sent[ell], received[ell]))
+    log.step_rows.extend(
+        StepRow(episode, t, ell, reward, loss, epsilon, tx, rx)
+        for ell, (reward, loss, tx, rx)
+        in enumerate(zip(rewards, losses, sent, received)))
 
 
 def _log_episode(log: MetricsLog, episode: int,
@@ -104,7 +106,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                                 tr_cfg.episodes * T), L, state_len)
 
     log = MetricsLog()
-    ledger = OverheadLedger(users_per_cell=U)
+    ledger = OverheadLedger()
     artifacts = RunArtifacts(framework=framework, seed=seed, config=cfg,
                              log=log, ledger=ledger, agent_nets=agents,
                              central_net=learner[0] if behaviour.central
@@ -127,8 +129,10 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 if not all(math.isfinite(r) for r in result.rewards):
                     raise TrainingFault("non-finite reward at step %d"
                                         % step_idx)
-                train_rewards = behaviour.rewards(result.rewards,
-                                                  net_cfg.punishment)
+                train_rewards = result.rewards
+                if behaviour.common_reward:
+                    train_rewards = [sharing.crdu_reward(
+                        result.rewards, net_cfg.punishment)] * L
                 next_states = env.states()
 
                 # --- store -----------------------------------------------
@@ -145,12 +149,12 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                                            result.table.inter_by_source,
                                            net_cfg.interference_threshold_mw,
                                            sh_cfg.attribution)
-                sent = sharing.deliver(mask, rows, buffers)
+                sharing.deliver(mask, rows, buffers)
                 received = mask.sum(axis=(0, 1)).tolist()
-
-                per_agent_exp, per_agent_scalars = map(list, zip(*[
-                    behaviour.cost(ledger, sent.get(ell, 0))
-                    for ell in range(L)]))
+                sent = np.full(L, U) if behaviour.central \
+                    else mask.sum(axis=(1, 2))
+                scalars = sent * experience_scalars(U) \
+                    + behaviour.common_reward
 
                 # --- train -----------------------------------------------
                 losses = [math.nan] * L
@@ -169,12 +173,11 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                     losses = step_losses[owner].tolist()
                 if behaviour.central and \
                         (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
-                    per_cell = sharing.ctde_sync(learner, agents, ledger) // L
-                    per_agent_scalars = [n + per_cell for n in per_agent_scalars]
+                    scalars += sharing.ctde_sync(learner, agents) // L
 
-                ledger.record_step(step_idx, per_agent_exp, per_agent_scalars)
+                ledger.record_step(step_idx, sent, scalars)
                 _log_step(log, episode, t, train_rewards, losses, epsilon,
-                          per_agent_exp, received)
+                          sent.tolist(), received)
                 states = next_states
 
             _log_episode(log, episode, env.sinr_history, tr_cfg.sumrate_mode)

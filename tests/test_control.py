@@ -13,7 +13,6 @@ from cellshare.control import (
     apply_joint_action,
     apply_power_command,
     encode_state,
-    initial_beams,
     initial_powers_dbm,
     reward,
     state_size,
@@ -130,7 +129,7 @@ def test_apply_joint_action_matches_manual_decode():
     cfg = _cfg(2)
     rng = np.random.default_rng(4)
     powers = initial_powers_dbm(cfg)
-    beams = initial_beams(cfg)
+    beams = np.full(cfg.users_per_cell, cfg.codebook_size // 2)
     for _ in range(300):
         index = int(rng.integers(0, action_space_size(2)))
         commands = _commands(index, 2)
@@ -271,4 +270,3 @@ def test_initial_operating_point():
     assert np.sum(10.0 ** (powers / 10.0)) <= cfg.max_bs_power_mw
     cfg.max_bs_power_dbm = 2.0  # headroom would push below the floor
     assert np.array_equal(initial_powers_dbm(cfg), [0.0, 0.0, 0.0])
-    assert np.array_equal(initial_beams(cfg), [4, 4, 4])

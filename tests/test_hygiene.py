@@ -1,4 +1,5 @@
-"""Source hygiene that needs no linter: every imported name is used."""
+"""Source hygiene that needs no linter: every imported name is used, and
+every public name in ``src/`` is read by ``src/`` or ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,58 @@ def test_no_unused_imports():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path)]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+# Public names kept although nothing in src/ or perfbench/ reads them.
+KEEP_UNREAD = {
+    "path_loss_gain": "the channel reference in the tests",
+    "sum_rate_metric": "the quantity criterion 9 checks",
+    "q_forward": "criterion 07's greedy reference",
+}
+
+
+def public_names(path):
+    """(line, name) of each public module-level function, class or
+    constant ``path`` defines."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets
+                     if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield node.lineno, name
+
+
+def names_read(path):
+    """Every name ``path`` loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_public_names():
+    """Library code only tests reach should go. A read in the defining
+    module counts: a public helper its own module calls is in use."""
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    read = set().union(*(names_read(path) for path in
+                         sources + sorted((ROOT / "perfbench").glob("*.py"))))
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+             for path in sources for line, name in public_names(path)
+             if name not in read and name not in KEEP_UNREAD]
+    assert not found, "public but never read in src/ or perfbench/:\n" \
+        + "\n".join(found)
+    stale = sorted(set(KEEP_UNREAD) & read)
+    assert not stale, "kept as unread but read: %s" % ", ".join(stale)

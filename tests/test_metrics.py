@@ -102,9 +102,9 @@ def test_read_csv_rejects_empty(tmp_path):
 
 def test_write_run_outputs_creates_artifacts(tmp_path):
     log = MetricsLog()
-    log.add_step(StepRow(episode=0, step=0, agent=0, reward=2.0,
-                         loss=float("nan"), epsilon=1.0, shared_tx=1,
-                         shared_rx=0))
+    log.step_rows.append(StepRow(episode=0, step=0, agent=0, reward=2.0,
+                                 loss=float("nan"), epsilon=1.0,
+                                 shared_tx=1, shared_rx=0))
     log.add_episode(0, np.array([[1.0, 3.0]]), 3.0)
     out = tmp_path / "run"
     write_run_outputs(str(out), log, [(0, 0, 1, 27)], {"seed": 7})

@@ -82,7 +82,7 @@ def test_brute_force_is_maximal_over_random_actions():
     net_cfg, _, _, channels, codebook = random_snapshot(
         22, users=2, net_cfg=net_cfg)
     powers = np.tile(control.initial_powers_dbm(net_cfg), (2, 1))
-    beams = np.tile(control.initial_beams(net_cfg), (2, 1))
+    beams = np.full((2, net_cfg.users_per_cell), net_cfg.codebook_size // 2)
     _, rate = brute_force_step(channels, powers, beams, net_cfg, codebook)
     rng = np.random.default_rng(23)
     n_actions = control.action_space_size(2)
@@ -104,7 +104,7 @@ def test_chunked_searches_match_one_chunk(monkeypatch):
     net_cfg, _, _, channels, codebook = random_snapshot(
         31, users=3, net_cfg=net_cfg)
     powers = np.tile(control.initial_powers_dbm(net_cfg), (2, 1))
-    beams = np.tile(control.initial_beams(net_cfg), (2, 1))
+    beams = np.full((2, net_cfg.users_per_cell), net_cfg.codebook_size // 2)
     grid_cfg = _small_net_cfg(users=2, antennas=4, bits=2, pmax=16.0)
     grid_cfg, _, _, grid_channels, grid_codebook = random_snapshot(
         32, users=2, net_cfg=grid_cfg)

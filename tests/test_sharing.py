@@ -147,32 +147,28 @@ def test_ctde_sync_copies_weights_and_counts_scalars():
     central = QNetwork(4, 4, hidden=(6, 5), rng=rng)
     agents = QNetwork.stack([QNetwork(4, 4, hidden=(6, 5), rng=rng)
                              for _ in range(3)])
-    ledger = OverheadLedger(users_per_cell=2)
-    scalars = ctde_sync(central, agents, ledger)
+    scalars = ctde_sync(central, agents)
     assert scalars == 3 * central.parameter_count()
-    assert ledger.weight_scalars_total == scalars
     assert all(net.equal_weights(central) for net in agents)
     assert all(net is not central for net in agents)
 
 
 def test_ledger_totals_and_zero_share_fraction():
-    ledger = OverheadLedger(users_per_cell=3)
-    ledger.record_step(0, [2, 0], [54, 0])
-    ledger.record_step(1, [0, 0], [0, 0])
+    ledger = OverheadLedger()
+    ledger.record_step(0, np.array([2, 0]), np.array([54, 0]))
+    ledger.record_step(1, np.zeros(2, dtype=int), np.zeros(2, dtype=int))
     assert ledger.experiences_total == 2
     assert ledger.scalars_total == 54
     assert ledger.rows == [(0, 0, 2, 54), (0, 1, 0, 0),
                            (1, 0, 0, 0), (1, 1, 0, 0)]
+    assert all(type(value) is int for row in ledger.rows for value in row)
     assert ledger.zero_share_fraction() == pytest.approx(0.75)
-    assert ledger.add_experience_scalars(2) == 54
-    assert ledger.experience_scalars_total == 54
-    ledger.add_reward_scalars(4)
-    assert ledger.reward_scalars_total == 4
     with pytest.raises(ContractViolation):
-        ledger.record_step(2, [-1], [0])
+        ledger.record_step(2, np.array([-1]), np.array([0]))
     with pytest.raises(ContractViolation):
-        OverheadLedger(users_per_cell=3).zero_share_fraction()
-
+        ledger.record_step(2, np.array([0]), np.array([-1]))
+    with pytest.raises(ContractViolation):
+        OverheadLedger().zero_share_fraction()
 
 
 @given(st.integers(1, 5).flatmap(lambda agents: st.lists(
@@ -180,10 +176,10 @@ def test_ledger_totals_and_zero_share_fraction():
              min_size=agents, max_size=agents),
     min_size=1, max_size=20)))
 def test_ledger_identities_over_random_counts(steps):
-    ledger = OverheadLedger(users_per_cell=2)
+    ledger = OverheadLedger()
     for step, counts in enumerate(steps):
-        ledger.record_step(step, [c[0] for c in counts],
-                           [c[1] for c in counts])
+        experiences, scalars = np.array(counts).T
+        ledger.record_step(step, experiences, scalars)
     rows = [counts for per_step in steps for counts in per_step]
     assert len(ledger.rows) == len(rows)
     assert ledger.experiences_total == sum(r[2] for r in ledger.rows)

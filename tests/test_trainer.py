@@ -11,7 +11,7 @@ from conftest import small_run_config
 from cellshare import sharing, training
 from cellshare.environment import Environment
 from cellshare.errors import ContractViolation, TrainingFault
-from cellshare.metrics import metrics_csv_rows, network_sum_rate
+from cellshare.metrics import network_sum_rate, read_csv, write_run_outputs
 from cellshare.qnet import QNetwork
 from cellshare.replay import TransitionTable, experience_scalars
 from cellshare.training import RunArtifacts, evaluate, run_training
@@ -34,15 +34,14 @@ def test_training_is_deterministic():
     cfg = small_run_config()
     first = run_training(cfg, "smart", seed=5)
     second = run_training(cfg, "smart", seed=5)
-    assert _rows_equal(metrics_csv_rows(first.log), metrics_csv_rows(second.log))
+    assert _rows_equal(first.log.step_rows, second.log.step_rows)
     assert first.log.sumrate_rows == second.log.sumrate_rows
     assert first.log.sinr_rows == second.log.sinr_rows
     assert first.ledger.rows == second.ledger.rows
     assert all(a.equal_weights(b) for a, b in
                zip(first.agent_nets, second.agent_nets))
     different = run_training(cfg, "smart", seed=6)
-    assert not _rows_equal(metrics_csv_rows(first.log),
-                           metrics_csv_rows(different.log))
+    assert not _rows_equal(first.log.step_rows, different.log.step_rows)
 
 
 class StepRecorder:
@@ -139,7 +138,6 @@ def test_crdu_hands_every_agent_the_same_reward():
     # one scalar broadcast per agent per step, no experience traffic
     steps = cfg.training.episodes * cfg.training.steps_per_episode
     assert artifacts.ledger.experiences_total == 0
-    assert artifacts.ledger.reward_scalars_total == steps * cfg.network.cells
     assert artifacts.ledger.scalars_total == steps * cfg.network.cells
 
 
@@ -151,11 +149,7 @@ def test_ctde_agents_mirror_the_central_network():
     assert all(net.equal_weights(central) for net in artifacts.agent_nets)
     steps = cfg.training.episodes * cfg.training.steps_per_episode
     L, U = cfg.network.cells, cfg.network.users_per_cell
-    assert artifacts.ledger.weight_scalars_total == \
-        steps * L * central.parameter_count()
     assert artifacts.ledger.experiences_total == steps * L * U
-    assert artifacts.ledger.experience_scalars_total == \
-        steps * L * U * experience_scalars(U)
     # the pooled buffer fills twice as fast: 2L rows/step, warm at t=1
     assert artifacts.train_step_count == (11 + 12) * 1
     # every agent logs the shared central loss
@@ -215,6 +209,37 @@ def test_threshold_extremes_bound_the_sharing_rate():
     artifacts = run_training(silent, "smart", seed=8)
     assert artifacts.ledger.zero_share_fraction() == 1.0
     assert artifacts.ledger.experiences_total == 0
+
+
+@pytest.mark.parametrize("framework", sharing.FRAMEWORKS)
+def test_overhead_rows_match_the_closed_form(framework, tmp_path):
+    cfg = small_run_config()
+    cfg.sharing.ctde_sync_period = 3
+    artifacts = run_training(cfg, framework, seed=14)
+    write_run_outputs(str(tmp_path), artifacts.log, artifacts.ledger.rows,
+                      {})
+    _header, rows = read_csv(str(tmp_path / "overhead.csv"))
+    rows = [tuple(int(v) for v in row) for row in rows]
+    L, U = cfg.network.cells, cfg.network.users_per_cell
+    E = experience_scalars(U)
+    steps = cfg.training.episodes * cfg.training.steps_per_episode
+    assert [row[:2] for row in rows] == \
+        [(step, agent) for step in range(steps) for agent in range(L)]
+    # ctde broadcasts one copy of the central weights to every agent
+    weights = artifacts.central_net.parameter_count() \
+        if framework == "ctde" else 0
+    for step, agent, experiences, scalars in rows:
+        sync = weights if (step + 1) % 3 == 0 else 0
+        want = {
+            "smart": (experiences, experiences * E),
+            "share-all": ((L - 1) * U, (L - 1) * U * E),
+            "share-nothing": (0, 0),
+            "crdu": (0, 1),
+            "ctde": (U, U * E + sync),
+        }[framework]
+        assert (experiences, scalars) == want, (step, agent)
+    assert artifacts.ledger.experiences_total == sum(r[2] for r in rows)
+    assert artifacts.ledger.scalars_total == sum(r[3] for r in rows)
 
 
 def test_share_nothing_has_zero_overhead():
@@ -284,7 +309,7 @@ def test_evaluate_is_greedy_and_deterministic():
                            for _ in range(2)])
     first = evaluate(nets, cfg, eval_episodes=3, seed=13)
     second = evaluate(nets, cfg, eval_episodes=3, seed=13)
-    assert _rows_equal(metrics_csv_rows(first), metrics_csv_rows(second))
+    assert _rows_equal(first.step_rows, second.step_rows)
     assert first.sumrate_rows == second.sumrate_rows
     for row in first.step_rows:
         assert math.isnan(row.loss)
