@@ -8,6 +8,15 @@ Weights may carry a leading agent axis (``QNetwork.stack``; ``net[k]`` is
 agent k's view) that every function broadcasts over, with (K, B, ...)
 minibatches; ``@`` on swapped axes runs one product per agent, so each
 agent's slice equals its unstacked call bit for bit.
+
+Every (..., B, .) array of a step (layer outputs, deltas, gradients)
+lives in a ``Workspace`` made for one minibatch shape. A training run
+builds one next to its learner and target stacks and passes it to each
+``train_step``, which then allocates no activation, delta or gradient
+of its own; the run owns it, a ``QNetwork`` never holds one. Called
+without one, ``train_step`` makes one for the call. ``forward_batch``,
+``td_targets`` and ``loss_and_gradients`` run the same kernels on arrays
+made for their call, so what they return belongs to the caller.
 """
 
 from __future__ import annotations
@@ -90,27 +99,79 @@ class QNetwork:
         for name in self._PARAMS:
             getattr(self, name)[...] = getattr(other, name)
 
-    def equal_weights(self, other: "QNetwork") -> bool:
-        return all(np.array_equal(getattr(self, n), getattr(other, n))
-                   for n in self._PARAMS)
+
+class Workspace:
+    """The arrays one minibatch shape of ``net``'s architecture passes
+    through: (..., batch) rows of layer outputs (the hidden ones later
+    hold their ReLU masks, the Q-values dL/dq), bias spreads and
+    hidden-layer deltas, and one weight and one bias gradient buffer
+    sized for the largest layer. The target pass and the online pass
+    share the layer outputs, and the backward pass hands each layer's
+    gradients on before it takes the next layer's."""
+
+    def __init__(self, net: QNetwork, batch: int):
+        shapes = _layer_shapes(net, net.w1.shape[:-2] + (int(batch),))
+        self.outs = [np.empty(shape) for shape in shapes]
+        self.spreads = _shared(shapes)
+        self.dz1, self.dz2 = (np.empty(shape) for shape in shapes[:2])
+        self.grads: Dict[str, np.ndarray] = {}
+        for names in (QNetwork._PARAMS[0::2], QNetwork._PARAMS[1::2]):
+            self.grads.update(zip(names, _shared(
+                [getattr(net, name).shape for name in names])))
 
 
-def forward_batch(net: QNetwork, x: np.ndarray):
-    """Batch forward pass; returns Q-values plus the backprop cache."""
+def _shared(shapes):
+    """Arrays of the given shapes that are views of one array sized for
+    the largest, so only one of them may be in use at a time."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(max(sizes))
+    return [flat[:size].reshape(shape) for size, shape in zip(sizes, shapes)]
+
+
+def _layer_shapes(net: QNetwork, lead: Tuple[int, ...]):
+    """Shapes of the three layers' outputs for rows of leading shape
+    ``lead``."""
+    return [lead + (n,) for n in net.hidden + (net.output_size,)]
+
+
+def _rows(net: QNetwork, x) -> np.ndarray:
+    """``x`` as float rows of the network's input length."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[-1] != net.input_size:
         raise ContractViolation(
             "state length %d does not match network input %d"
             % (x.shape[-1], net.input_size))
-    a1 = x @ net.w1.swapaxes(-1, -2)
-    a1 += net.b1[..., None, :]
-    np.maximum(a1, 0.0, out=a1)
-    a2 = a1 @ net.w2.swapaxes(-1, -2)
-    a2 += net.b2[..., None, :]
-    np.maximum(a2, 0.0, out=a2)
-    q = a2 @ net.w3.swapaxes(-1, -2)
-    q += net.b3[..., None, :]
-    return q, (x, a1, a2)
+    return x
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
+           spread: np.ndarray) -> np.ndarray:
+    """``out`` = x @ w.T + b, row by row. The bias is spread over the rows
+    first: a broadcast add would take a buffer of numpy's on every call."""
+    np.matmul(x, w.swapaxes(-1, -2), out=out)
+    np.copyto(spread, b[..., None, :])
+    out += spread
+    return out
+
+
+def _forward(net: QNetwork, x: np.ndarray, outs, spreads) -> np.ndarray:
+    """Q-values of the rows ``x`` into ``outs[2]``, the hidden
+    activations into ``outs[0]`` and ``outs[1]``; returns the Q-values."""
+    a1, a2, q = outs
+    np.maximum(_dense(x, net.w1, net.b1, a1, spreads[0]), 0.0, out=a1)
+    np.maximum(_dense(a1, net.w2, net.b2, a2, spreads[1]), 0.0, out=a2)
+    return _dense(a2, net.w3, net.b3, q, spreads[2])
+
+
+def forward_batch(net: QNetwork, x: np.ndarray):
+    """Batch forward pass; returns Q-values plus the backprop cache."""
+    x = _rows(net, x)
+    lead = np.broadcast_shapes(net.w1.shape[:-2], x.shape[:-2]) \
+        + x.shape[-2:-1]
+    shapes = _layer_shapes(net, lead)
+    outs = [np.empty(shape) for shape in shapes]
+    q = _forward(net, x, outs, [np.empty(shape) for shape in shapes])
+    return q, (x, outs[0], outs[1])
 
 
 def q_forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
@@ -118,28 +179,67 @@ def q_forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
     return forward_batch(net, np.asarray(state, dtype=float)[None, :])[0][0]
 
 
-def _backward(net: QNetwork, cache, dq: np.ndarray) -> Dict[str, np.ndarray]:
-    x, a1, a2 = cache
-    grads: Dict[str, np.ndarray] = {}
-    grads["w3"] = dq.swapaxes(-1, -2) @ a2
-    grads["b3"] = dq.sum(axis=-2)
-    dz = dq @ net.w3
-    dz *= a2 > 0.0  # ReLU'(z) from its output: a > 0 exactly where z > 0
-    grads["w2"] = dz.swapaxes(-1, -2) @ a1
-    grads["b2"] = dz.sum(axis=-2)
-    dz = dz @ net.w2
-    dz *= a1 > 0.0
-    grads["w1"] = dz.swapaxes(-1, -2) @ x
-    grads["b1"] = dz.sum(axis=-2)
-    return grads
+def _targets(q_next: np.ndarray, rewards: np.ndarray,
+             alpha: float) -> np.ndarray:
+    return rewards + alpha * q_next.max(axis=-1)
 
 
 def td_targets(target_net: QNetwork, rewards: np.ndarray,
                next_states: np.ndarray, alpha: float) -> np.ndarray:
     """Bootstrapped targets. Episodes are fixed length, so every
     transition bootstraps (no terminal cutoff)."""
-    q_next, _ = forward_batch(target_net, next_states)
-    return rewards + alpha * q_next.max(axis=-1)
+    return _targets(forward_batch(target_net, next_states)[0], rewards,
+                    alpha)
+
+
+def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
+          rewards: np.ndarray, next_states, alpha: float,
+          ws: Workspace) -> np.ndarray:
+    """Mean squared TD error (per agent for a stack). Leaves the online
+    pass's hidden activations and dL/dq in ``ws.outs``."""
+    if actions.shape[-1] < 1:
+        raise ContractViolation("minibatch must contain at least one item")
+    if np.any(actions < 0) or np.any(actions >= net.output_size):
+        raise ContractViolation("action index outside the network head")
+    if ws.outs[2].shape[:-1] != states.shape[:-1]:
+        raise ContractViolation("workspace made for another minibatch shape")
+    y = _targets(_forward(target_net, _rows(target_net, next_states),
+                          ws.outs, ws.spreads), rewards, alpha)
+    q = _forward(net, states, ws.outs, ws.spreads)
+    # Q-values indexed by transition, over all agents of a stack
+    rows, acts, b = np.arange(actions.size), actions.ravel(), actions.shape[-1]
+    diff = y - q.reshape(rows.size, -1)[rows, acts].reshape(actions.shape)
+    loss = np.mean(diff ** 2, axis=-1)
+    dq = q  # dL/dq takes the Q-values' array
+    dq.fill(0.0)
+    dq.reshape(rows.size, -1)[rows, acts] = (-2.0 * diff / b).ravel()
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _gradients(net: QNetwork, x: np.ndarray, ws: Workspace):
+    """Backprop dL/dq (in ``ws.outs``) from the output layer down,
+    yielding each parameter's (name, gradient). The next layer's
+    gradients overwrite these buffers, so use each before asking for the
+    next; the delta below a layer is taken before its gradients are
+    yielded, so a caller may step the layer in between."""
+    (a1, a2, dq), grads = ws.outs, ws.grads
+    np.matmul(dq.swapaxes(-1, -2), a2, out=grads["w3"])
+    np.add.reduce(dq, axis=-2, out=grads["b3"])
+    dz = np.matmul(dq, net.w3, out=ws.dz2)
+    yield from (("w3", grads["w3"]), ("b3", grads["b3"]))
+    # ReLU'(z) from its output: a > 0 exactly where z > 0. The mask is
+    # 1.0/0.0 in the activation's own array, where a bool mask would
+    # need a cast buffer in the product.
+    dz *= np.greater(a2, 0.0, out=a2)
+    np.matmul(dz.swapaxes(-1, -2), a1, out=grads["w2"])
+    np.add.reduce(dz, axis=-2, out=grads["b2"])
+    live = np.greater(a1, 0.0, out=a1)
+    dz = np.matmul(dz, net.w2, out=ws.dz1)
+    yield from (("w2", grads["w2"]), ("b2", grads["b2"]))
+    dz *= live
+    np.matmul(dz.swapaxes(-1, -2), x, out=grads["w1"])
+    np.add.reduce(dz, axis=-2, out=grads["b1"])
+    yield from (("w1", grads["w1"]), ("b1", grads["b1"]))
 
 
 def loss_and_gradients(net: QNetwork, target_net: QNetwork,
@@ -148,34 +248,31 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork,
                        alpha: float):
     """Mean squared TD error of the minibatch (one row per transition)
     and its gradients w.r.t. net parameters; per agent for a stack."""
-    if actions.shape[-1] < 1:
-        raise ContractViolation("minibatch must contain at least one item")
-    if np.any(actions < 0) or np.any(actions >= net.output_size):
-        raise ContractViolation("action index outside the network head")
-    y = td_targets(target_net, rewards, next_states, alpha)
-    q, cache = forward_batch(net, states)
-    # Q-values indexed by transition, over all agents of a stack
-    rows, acts, b = np.arange(actions.size), actions.ravel(), actions.shape[-1]
-    diff = y - q.reshape(rows.size, -1)[rows, acts].reshape(actions.shape)
-    loss = np.mean(diff ** 2, axis=-1)
-    dq = np.zeros_like(q)
-    dq.reshape(rows.size, -1)[rows, acts] = (-2.0 * diff / b).ravel()
-    grads = _backward(net, cache, dq)
-    return (float(loss) if loss.ndim == 0 else loss), grads
+    x = _rows(net, states)
+    ws = Workspace(net, x.shape[-2])
+    loss = _loss(net, target_net, x, actions, rewards, next_states, alpha,
+                 ws)
+    grads = {name: grad.copy() for name, grad in _gradients(net, x, ws)}
+    return loss, grads
 
 
 def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
                actions: np.ndarray, rewards: np.ndarray,
-               next_states: np.ndarray, alpha: float, eta: float):
+               next_states: np.ndarray, alpha: float, eta: float,
+               workspace: Workspace | None = None):
     """One SGD step in place, theta <- theta - eta * grad; returns the
     pre-update loss (per agent). A non-finite loss raises TrainingFault;
     its ``agent`` is the first such agent, and the agents before it have
-    stepped, as if each had stepped alone in turn."""
-    loss, grads = loss_and_gradients(net, target_net, states, actions,
-                                     rewards, next_states, alpha)
+    stepped, as if each had stepped alone in turn. ``workspace`` holds
+    the step's arrays (one is made for the call if none is given)."""
+    x = _rows(net, states)
+    if workspace is None:
+        workspace = Workspace(net, x.shape[-2])
+    loss = _loss(net, target_net, x, actions, rewards, next_states, alpha,
+                 workspace)
     bad = np.flatnonzero(~np.isfinite(loss))
     stepped = slice(bad[0]) if len(bad) else slice(None)
-    for name, grad in grads.items():
+    for name, grad in _gradients(net, x, workspace):
         grad *= eta
         getattr(net, name)[stepped] -= grad[stepped]
     if len(bad):

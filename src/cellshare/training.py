@@ -7,11 +7,12 @@ in the run's ``TransitionTable`` (its buffer takes one id per user), the
 share rule's (sender, user, receiver) mask of experiences is delivered
 as ids (the barrier), then the learner stack (one network per cell, or
 ctde's one central network) takes one stacked gradient step on one
-minibatch per buffer, gated until every buffer is full. What differs
-between frameworks (own or common training reward, the share rule, the
-learners) comes from ``sharing.BEHAVIOUR``; each cell's ledger charge
-follows from the step's share mask and that row. The environment
-advance is ``Environment.step``.
+minibatch per buffer, gated until every buffer is full, with its arrays
+in the run's one ``qnet.Workspace``. What differs between frameworks
+(own or common training reward, the share rule, the learners) comes
+from ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the
+step's share mask and that row. The environment advance is
+``Environment.step``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import RunConfig, validate_config
 from .environment import Environment
 from .errors import ContractViolation, TrainingFault
 from .metrics import MetricsLog, StepRow, network_sum_rate
-from .qnet import QNetwork, select_action, train_step
+from .qnet import QNetwork, Workspace, select_action, train_step
 from .replay import ReplayBuffer, TransitionTable, experience_scalars
 from .sharing import OverheadLedger
 
@@ -93,6 +94,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     sample_rngs = [streams[3 * L + 1]] if behaviour.central \
         else streams[2:3 * L:3]
     target = learner.copy()
+    workspace = Workspace(learner, tr_cfg.batch_size)  # every step's arrays
     owner = np.arange(L) % len(learner)  # the learner of each cell's rows
     learner_buffers = [ReplayBuffer(tr_cfg.buffer_capacity)
                        for _ in sample_rngs]
@@ -165,7 +167,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                         for buffer, rng in zip(learner_buffers, sample_rngs)])
                     step_losses = train_step(
                         learner, target, *table.batch(ids), tr_cfg.discount,
-                        tr_cfg.learning_rate)
+                        tr_cfg.learning_rate, workspace)
                     train_steps += 1
                     artifacts.train_step_count += len(learner_buffers)
                     if train_steps % tr_cfg.target_refresh_steps == 0:

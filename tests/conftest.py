@@ -96,6 +96,12 @@ def random_batch(rng, input_size, n_actions, size):
     return tuple(np.array(column) for column in zip(*rows))
 
 
+def same_weights(a, b):
+    """Whether two networks (or stacks) hold equal parameter arrays."""
+    return all(np.array_equal(pa, pb) for pa, pb in
+               zip(a.parameters().values(), b.parameters().values()))
+
+
 def finite_difference_grads(net, target, batch, alpha, h=1e-6):
     """Central-difference gradient of the minibatch loss, per parameter;
     `batch` is (states, actions, rewards, next_states)."""

@@ -46,13 +46,20 @@ KEEP_UNREAD = {
     "path_loss_gain": "the channel reference in the tests",
     "sum_rate_metric": "the quantity criterion 9 checks",
     "q_forward": "criterion 07's greedy reference",
+    "loss_and_gradients": "criterion 03's gradient check",
+    "td_targets": "the bootstrap target the tests check by hand",
 }
 
 
 def public_names(path):
     """(line, name) of each public module-level function, class or
-    constant ``path`` defines."""
+    constant ``path`` defines, and of each public method of its
+    classes."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.lineno, item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):

@@ -1,15 +1,19 @@
 """Forward pass, hand-checked backprop, SGD step and action selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_grads, gradient_mismatch, random_batch
+from conftest import (finite_difference_grads, gradient_mismatch,
+                      random_batch, same_weights)
 
 from cellshare.errors import ContractViolation, TrainingFault
 from cellshare.qnet import (
     QNetwork,
+    Workspace,
     forward_batch,
     loss_and_gradients,
     q_forward,
@@ -56,11 +60,11 @@ def test_copy_load_and_equality():
     rng = np.random.default_rng(2)
     net = QNetwork(6, 4, rng=rng)
     dup = net.copy()
-    assert dup.equal_weights(net)
+    assert same_weights(dup, net)
     dup.w2[0, 0] += 1.0
-    assert not dup.equal_weights(net)
+    assert not same_weights(dup, net)
     dup.load_from(net)
-    assert dup.equal_weights(net)
+    assert same_weights(dup, net)
     with pytest.raises(ContractViolation):
         net.load_from(QNetwork(6, 5))
 
@@ -134,7 +138,7 @@ def test_train_step_is_plain_sgd():
         getattr(manual, name)[...] -= 0.01 * grad
     loss = train_step(net, target, *batch, 0.995, 0.01)
     assert loss == loss_ref
-    assert net.equal_weights(manual)
+    assert same_weights(net, manual)
 
 
 def test_eta_zero_changes_nothing():
@@ -142,7 +146,7 @@ def test_eta_zero_changes_nothing():
     net = QNetwork(4, 4, hidden=(6, 5), rng=rng)
     before = net.copy()
     train_step(net, before, *_random_batch(rng, net, 4), 0.995, 0.0)
-    assert net.equal_weights(before)
+    assert same_weights(net, before)
 
 
 def test_train_step_raises_on_nonfinite_loss():
@@ -246,9 +250,9 @@ def test_stacked_train_step_equals_per_agent_steps(case):
     for k, (one, one_target, batch) in enumerate(
             zip(nets, targets, batches)):
         assert losses[k] == train_step(one, one_target, *batch, 0.9, 0.05)
-        assert net[k].equal_weights(one)
+        assert same_weights(net[k], one)
         # views taken before the step see the stack's update
-        assert views[k].equal_weights(one)
+        assert same_weights(views[k], one)
 
 
 def test_stacked_train_step_stops_at_the_first_bad_agent():
@@ -266,8 +270,77 @@ def test_stacked_train_step_stops_at_the_first_bad_agent():
     assert info.value.agent == 1
     # agent 0 stepped as it would alone; agents 1 and 2 did not
     train_step(nets[0], targets[0], *(c[0] for c in stacked), 0.9, 0.05)
-    assert net[0].equal_weights(nets[0])
-    assert net[1:].equal_weights(before[1:])
+    assert same_weights(net[0], nets[0])
+    assert same_weights(net[1:], before[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacks, st.integers(0, 3))
+def test_one_workspace_through_consecutive_steps(case, fault_at):
+    """A stack stepped through one workspace, call after call on fresh
+    minibatches (one of them faulting, and at least one after it),
+    equals per-agent steps on unstacked networks: nothing a call leaves
+    in the workspace leaks into the next."""
+    agents, inputs, _h1, _h2, size, seed = case
+    nets, targets, _batches, _stacked = _stack_case(*case)
+    net, target = QNetwork.stack(nets), QNetwork.stack(targets)
+    workspace = Workspace(net, size)
+    rng = np.random.default_rng([seed, 1])
+    for call in range(5):
+        batches = [random_batch(rng, inputs, net.output_size, size)
+                   for _ in range(agents)]
+        stacked = [np.stack(column) for column in zip(*batches)]
+        views = [net[k] for k in range(agents)]
+        stepped = agents
+        if call == fault_at:
+            stepped = int(rng.integers(agents))
+            stacked[2][stepped, 0] = np.inf
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(TrainingFault) as info:
+                    train_step(net, target, *stacked, 0.9, 0.05, workspace)
+            assert info.value.agent == stepped
+        else:
+            losses = train_step(net, target, *stacked, 0.9, 0.05, workspace)
+        for k in range(stepped):
+            loss = train_step(nets[k], targets[k], *batches[k], 0.9, 0.05)
+            assert call == fault_at or losses[k] == loss
+        for k in range(agents):
+            assert same_weights(net[k], nets[k])
+            # views taken before the step see the stack's update
+            assert same_weights(views[k], nets[k])
+        if call == 2:
+            target.load_from(net)
+            for one, one_target in zip(nets, targets):
+                one_target.load_from(one)
+
+
+def test_run_owned_workspace_step_allocates_no_batch_arrays():
+    """Every (K, B, .) intermediate and gradient of a step lives in the
+    workspace: after a warm-up, a K = 19, B = 32 step at the desk sizes
+    allocates under 64 KB (one that made its own took about 2.8 MB)."""
+    rng = np.random.default_rng(12)
+    agents, batch = 19, 32
+    net = QNetwork.stack([QNetwork(12, 64, rng=rng) for _ in range(agents)])
+    target = net.copy()
+    workspace = Workspace(net, batch)
+    minibatch = tuple(np.stack(column) for column in zip(
+        *(random_batch(rng, 12, 64, batch) for _ in range(agents))))
+    train_step(net, target, *minibatch, 0.995, 0.01, workspace)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        train_step(net, target, *minibatch, 0.995, 0.01, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 64 * 1024
+
+
+def test_workspace_must_fit_the_minibatch():
+    nets, targets, _batches, stacked = _stack_case(2, 3, 4, 4, 5, 13)
+    net, target = QNetwork.stack(nets), QNetwork.stack(targets)
+    with pytest.raises(ContractViolation):
+        train_step(net, target, *stacked, 0.9, 0.05, Workspace(net, 4))
 
 
 @settings(max_examples=60, deadline=None)

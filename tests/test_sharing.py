@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import same_weights
+
 from cellshare.errors import ContractViolation
 from cellshare.qnet import QNetwork
 from cellshare.replay import ReplayBuffer
@@ -149,7 +151,7 @@ def test_ctde_sync_copies_weights_and_counts_scalars():
                              for _ in range(3)])
     scalars = ctde_sync(central, agents)
     assert scalars == 3 * central.parameter_count()
-    assert all(net.equal_weights(central) for net in agents)
+    assert all(same_weights(net, central) for net in agents)
     assert all(net is not central for net in agents)
 
 

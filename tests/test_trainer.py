@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_run_config
+from conftest import same_weights, small_run_config
 
 from cellshare import sharing, training
 from cellshare.environment import Environment
@@ -38,7 +38,7 @@ def test_training_is_deterministic():
     assert first.log.sumrate_rows == second.log.sumrate_rows
     assert first.log.sinr_rows == second.log.sinr_rows
     assert first.ledger.rows == second.ledger.rows
-    assert all(a.equal_weights(b) for a, b in
+    assert all(same_weights(a, b) for a, b in
                zip(first.agent_nets, second.agent_nets))
     different = run_training(cfg, "smart", seed=6)
     assert not _rows_equal(first.log.step_rows, different.log.step_rows)
@@ -146,7 +146,8 @@ def test_ctde_agents_mirror_the_central_network():
     artifacts = run_training(cfg, "ctde", seed=4)
     central = artifacts.central_net
     assert central is not None
-    assert all(net.equal_weights(central) for net in artifacts.agent_nets)
+    assert all(same_weights(net, central)
+               for net in artifacts.agent_nets)
     steps = cfg.training.episodes * cfg.training.steps_per_episode
     L, U = cfg.network.cells, cfg.network.users_per_cell
     assert artifacts.ledger.experiences_total == steps * L * U

@@ -1,0 +1,122 @@
+"""Microbenchmark of the stacked SGD step, ``qnet.train_step``.
+
+    python3 tools/bench_sgd_step.py [--steps 200] [--repeats 5] [--jobs 0]
+
+For each stack size K in 1, 2, 7 and 19 it builds K agents at the desk
+sizes (state 12, 64 joint actions, batch 32), a target copy and one
+workspace, as ``training.run_training`` does. After a warm-up it times
+--repeats rounds of --steps steps over a fixed set of random minibatches
+and prints the best round's microseconds per step and the minor page
+faults per step the process took over all rounds
+(``resource.getrusage``). With --jobs N it then runs N whole
+hex19-share jobs of the benchmark in ``perfbench/`` after one warm-up
+job and prints their minor faults per job. The last line is all of it
+as JSON. BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import resource  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from cellshare import qnet  # noqa: E402
+
+STACKS = (1, 2, 7, 19)
+STATE, ACTIONS, BATCH = 12, 64, 32
+MINIBATCHES = 8
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def bench_stack(agents: int, steps: int, repeats: int) -> dict:
+    rng = np.random.default_rng(agents)
+    net = qnet.QNetwork.stack([qnet.QNetwork(STATE, ACTIONS, rng=rng)
+                               for _ in range(agents)])
+    target = net.copy()
+    workspace = qnet.Workspace(net, BATCH)
+    lead = (agents, BATCH)
+    batches = [(rng.normal(size=lead + (STATE,)),
+                rng.integers(ACTIONS, size=lead), rng.normal(size=lead),
+                rng.normal(size=lead + (STATE,)))
+               for _ in range(MINIBATCHES)]
+
+    def step(k):
+        qnet.train_step(net, target, *batches[k % MINIBATCHES], 0.995,
+                        0.01, workspace)
+
+    for k in range(MINIBATCHES):
+        step(k)
+    rounds = []
+    faults = minor_faults()
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for k in range(steps):
+            step(k)
+        rounds.append(time.perf_counter() - t0)
+    faults = minor_faults() - faults
+    return {"agents": agents, "step_us": 1e6 * min(rounds) / steps,
+            "faults_per_step": faults / (steps * repeats)}
+
+
+def bench_jobs(jobs: int, seed: int) -> dict:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+    workload = workloads.WORKLOADS["hex19-share"]
+    cfg = workloads.set_up(workload)
+    per_job = []
+    with tempfile.TemporaryDirectory() as out_dir:
+        for k in range(jobs + 1):  # the first is the warm-up
+            faults = minor_faults()
+            result = workloads.run_job(workload, cfg, seed, out_dir,
+                                       lambda: 1.0)
+            if result.faults or result.check_failures:
+                raise RuntimeError("hex19-share job failed: %s"
+                                   % (result.faults + result.check_failures))
+            if k:
+                per_job.append(minor_faults() - faults)
+    return {"workload": workload.name, "seed": seed,
+            "faults_per_job": per_job}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--steps", type=int, default=200)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--jobs", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=201)
+    args = parser.parse_args(argv)
+    if args.steps < 1 or args.repeats < 1 or args.jobs < 0:
+        parser.error("--steps and --repeats must be positive, --jobs >= 0")
+    report = {"batch": BATCH, "state": STATE, "actions": ACTIONS,
+              "stacks": []}
+    for agents in STACKS:
+        row = bench_stack(agents, args.steps, args.repeats)
+        report["stacks"].append(row)
+        print("K=%-3d %9.1f us/step %9.2f minor faults/step"
+              % (agents, row["step_us"], row["faults_per_step"]))
+    if args.jobs:
+        report["jobs"] = bench_jobs(args.jobs, args.seed)
+        print("hex19-share seed %d: minor faults per job %s"
+              % (args.seed, report["jobs"]["faults_per_job"]))
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
