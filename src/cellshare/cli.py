@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Subcommands: train, compare, ccdf, oracle, print-config. Exit codes:
-0 success, 1 config error, 2 runtime abort, 3 I/O error. The CELLSHARE_SEED
-environment variable overrides --seed; the effective seed and the fact
-that it was overridden are echoed into run.json.
+0 success, 1 config or command-line usage error, 2 runtime abort, 3 I/O
+error. The CELLSHARE_SEED environment variable overrides --seed; the
+effective seed and the fact that it was overridden are echoed into
+run.json.
 """
 
 from __future__ import annotations
@@ -66,50 +67,56 @@ def _final_quarter_mean(sumrate_rows: Sequence[Tuple[int, float]]) -> float:
     return float(np.mean(values[-window:]))
 
 
-def _run_info(artifacts: RunArtifacts, seed: int, overridden: bool,
-              status: str, single_thread: bool) -> Dict:
+def _zero_share_fraction(ledger: sharing.OverheadLedger) -> float:
+    """The ledger's zero-share fraction, NaN for a run that never stepped."""
+    return ledger.zero_share_fraction() if ledger.rows else math.nan
+
+
+def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
+                     overridden: bool, status: str) -> None:
     ledger = artifacts.ledger
-    zero_frac = ledger.zero_share_fraction() if ledger.rows else math.nan
-    return {
+    info = {
         "version": __version__,
         "framework": artifacts.framework,
         "seed": seed,
         "seed_env_override": overridden,
-        "single_thread": single_thread,
         "status": status,
         "config": resolved_dict(artifacts.config),
         "train_step_count": artifacts.train_step_count,
         "final_epsilon": artifacts.final_epsilon,
         "experiences_shared_total": ledger.experiences_total,
         "scalars_shared_total": ledger.scalars_total,
-        "zero_share_fraction": zero_frac,
+        "zero_share_fraction": _zero_share_fraction(ledger),
         "final_quarter_sum_rate": _final_quarter_mean(
             artifacts.log.sumrate_rows),
     }
+    metrics.write_run_outputs(out_dir, artifacts.log, ledger.rows, info)
 
 
-def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
-                     overridden: bool, status: str,
-                     single_thread: bool) -> None:
-    info = _run_info(artifacts, seed, overridden, status, single_thread)
-    metrics.write_run_outputs(out_dir, artifacts.log, artifacts.ledger.rows,
-                              info)
+def _train_and_write(cfg: RunConfig, framework: str, seed: int,
+                     overridden: bool, out_dir: str) -> RunArtifacts:
+    """Train one run and write its artifacts; a TrainingFault's partial
+    artifacts are written as aborted before it is re-raised."""
+    try:
+        artifacts = run_training(cfg, framework, seed)
+    except TrainingFault as fault:
+        # keep whatever the run produced before it died
+        if fault.artifacts is not None:
+            _write_artifacts(out_dir, fault.artifacts, seed, overridden,
+                             "aborted: %s" % fault)
+        raise
+    _write_artifacts(out_dir, artifacts, seed, overridden, "ok")
+    return artifacts
 
 
 def cmd_train(args) -> int:
     cfg = _load(args.config)
     seed, overridden = _resolve_seed(args.seed)
     try:
-        artifacts = run_training(cfg, args.framework, seed)
+        _train_and_write(cfg, args.framework, seed, overridden, args.out)
     except TrainingFault as fault:
-        # keep whatever the run produced before it died
-        if fault.artifacts is not None:
-            _write_artifacts(args.out, fault.artifacts, seed, overridden,
-                             "aborted: %s" % fault, args.single_thread)
         print("training aborted: %s" % fault, file=sys.stderr)
         return EXIT_RUNTIME
-    _write_artifacts(args.out, artifacts, seed, overridden, "ok",
-                     args.single_thread)
     return EXIT_OK
 
 
@@ -119,12 +126,11 @@ def _summary_row(framework: str, seed: int,
                         artifacts.config.training.eval_episodes,
                         seed + EVAL_SEED_OFFSET)
     sinr_values = [row[3] for row in eval_log.sinr_rows]
-    ledger = artifacts.ledger
-    zero_frac = ledger.zero_share_fraction() if ledger.rows else math.nan
     return (framework, seed,
             _final_quarter_mean(artifacts.log.sumrate_rows),
             float(np.mean(sinr_values)) if sinr_values else math.nan,
-            ledger.scalars_total, zero_frac, "ok")
+            artifacts.ledger.scalars_total,
+            _zero_share_fraction(artifacts.ledger), "ok")
 
 
 def cmd_compare(args) -> int:
@@ -148,16 +154,11 @@ def cmd_compare(args) -> int:
             seed = base_seed + k
             run_dir = os.path.join(args.out, name, "seed%d" % seed)
             try:
-                artifacts = run_training(cfg, name, seed)
-                _write_artifacts(run_dir, artifacts, seed, overridden, "ok",
-                                 True)
+                artifacts = _train_and_write(cfg, name, seed, overridden,
+                                             run_dir)
                 row = _summary_row(name, seed, artifacts)
             except CellshareError as err:
                 failures += 1
-                fault_art = getattr(err, "artifacts", None)
-                if fault_art is not None:
-                    _write_artifacts(run_dir, fault_art, seed, overridden,
-                                     "aborted: %s" % err, True)
                 print("%s seed %d failed: %s" % (name, seed, err),
                       file=sys.stderr)
                 row = (name, seed, math.nan, math.nan, 0, math.nan, "failed")
@@ -254,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sharing.FRAMEWORKS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--single-thread", action="store_true",
-                   help="pin the run to one thread (runs are "
-                        "single-threaded either way; recorded in run.json)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="frameworks x seeds sweep")
@@ -291,8 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, and 2 means a runtime abort
+        # here; --help and --version exit 0
+        return EXIT_CONFIG if stop.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigError as err:

@@ -5,12 +5,16 @@ headers. Physical quantities are written in engineering units (dB, dBm,
 meters, Hz, seconds) and converted to linear mW / SI on load; everything
 internal to the simulator works in linear units and dB only reappears at
 reporting boundaries.
+
+The dataclasses are the only list of keys: each field of a section is
+one key, named as the field (or with a unit suffix, ``_FILE_KEYS``) and
+parsed by the type of its default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
 from .errors import ConfigError
@@ -117,48 +121,22 @@ class RunConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
 
 
-# section -> key -> (attribute, converter). Converters run before validation.
+# file keys that carry a unit suffix; every other key is its field's name
+_FILE_KEYS = {
+    "cell_radius": "cell_radius_m",
+    "inter_site_distance": "inter_site_distance_m",
+    "carrier_freq": "carrier_freq_hz",
+    "ue_speed": "ue_speed_mps",
+    "step_duration": "step_duration_s",
+    "noise_dbm": "noise_power_dbm",
+}
+
+# section -> key -> (attribute, converter), in field order. Converters
+# run before validation.
 _SCHEMA: Dict[str, Dict[str, Tuple[str, type]]] = {
-    "network": {
-        "cells": ("cells", int),
-        "users_per_cell": ("users_per_cell", int),
-        "antennas": ("antennas", int),
-        "codebook_bits": ("codebook_bits", int),
-        "cell_radius_m": ("cell_radius", float),
-        "inter_site_distance_m": ("inter_site_distance", float),
-        "carrier_freq_hz": ("carrier_freq", float),
-        "ue_speed_mps": ("ue_speed", float),
-        "step_duration_s": ("step_duration", float),
-        "pathloss_exponent": ("pathloss_exponent", float),
-        "paths": ("paths", int),
-        "noise_power_dbm": ("noise_dbm", float),
-        "max_bs_power_dbm": ("max_bs_power_dbm", float),
-        "min_ue_power_dbm": ("min_ue_power_dbm", float),
-        "min_sinr_db": ("min_sinr_db", float),
-        "interference_threshold_dbm": ("interference_threshold_dbm", float),
-        "punishment": ("punishment", float),
-    },
-    "training": {
-        "episodes": ("episodes", int),
-        "steps_per_episode": ("steps_per_episode", int),
-        "learning_rate": ("learning_rate", float),
-        "discount": ("discount", float),
-        "batch_size": ("batch_size", int),
-        "buffer_capacity": ("buffer_capacity", int),
-        "epsilon_start": ("epsilon_start", float),
-        "epsilon_decay": ("epsilon_decay", float),
-        "epsilon_min": ("epsilon_min", float),
-        "target_refresh_steps": ("target_refresh_steps", int),
-        "eval_episodes": ("eval_episodes", int),
-        "sumrate_mode": ("sumrate_mode", str),
-    },
-    "sharing": {
-        "attribution": ("attribution", str),
-        "ctde_sync_period": ("ctde_sync_period", int),
-    },
-    "oracle": {
-        "power_step_db": ("power_step_db", float),
-    },
+    section.name: {_FILE_KEYS.get(f.name, f.name): (f.name, type(f.default))
+                   for f in fields(section.default_factory)}
+    for section in fields(RunConfig)
 }
 
 

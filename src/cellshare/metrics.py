@@ -1,8 +1,8 @@
 """Run metrics, CCDF computation and the CSV/JSON artifact writers.
 
-All numeric CSV cells use 12 significant digits so that repeated
-single-threaded runs produce byte-identical files and parsing a file
-and re-serializing it reproduces the bytes.
+All numeric CSV cells use 12 significant digits so that repeated runs
+produce byte-identical files and parsing a file and re-serializing it
+reproduces the bytes.
 """
 
 from __future__ import annotations

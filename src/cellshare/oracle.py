@@ -121,11 +121,9 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
                              cell_beams, config, codebook)
 
 
-def default_power_grid(config: NetworkConfig,
-                       step_db: float | None = None) -> np.ndarray:
-    """dB levels from the per-user floor up to the full budget."""
-    if step_db is None:
-        step_db = 3.0
+def default_power_grid(config: NetworkConfig, step_db: float) -> np.ndarray:
+    """dB levels step_db apart, from the per-user floor up to the full
+    budget."""
     if step_db <= 0:
         raise ContractViolation("power grid step must be positive")
     lo = config.min_ue_power_dbm

@@ -284,7 +284,7 @@ def test_criterion_10_byte_identical_runs(tmp_path, monkeypatch):
     outs = [tmp_path / "first", tmp_path / "second"]
     for out in outs:
         code = main(["train", "--config", str(conf), "--framework", "smart",
-                     "--seed", "0", "--out", str(out), "--single-thread"])
+                     "--seed", "0", "--out", str(out)])
         assert code == 0
     names = ("metrics.csv", "sinr_samples.csv", "sumrate.csv",
              "overhead.csv", "run.json")
@@ -293,7 +293,7 @@ def test_criterion_10_byte_identical_runs(tmp_path, monkeypatch):
     elapsed = time.monotonic() - t0
     ok = identical and elapsed < 300.0
     line = _report(10, ok,
-                   "two --single-thread runs byte-identical across %d "
+                   "two runs byte-identical across %d "
                    "artifact files, %.1f s (< 5 min)" % (len(names), elapsed))
     assert ok, line
 

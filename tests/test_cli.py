@@ -41,6 +41,18 @@ def test_missing_config_exits_io(tmp_path, capsys):
     assert "nope.conf" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_config(tmp_path, capsys):
+    # argparse's own usage-error code is 2, which means a runtime abort
+    train = ["train", "--config", _config_file(tmp_path, small_run_config()),
+             "--out", str(tmp_path / "out")]
+    assert main(train + ["--single-thread"]) == EXIT_CONFIG
+    assert main(train + ["--seed", "abc"]) == EXIT_CONFIG
+    assert "invalid int value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["--version"]) == EXIT_OK
+    assert main(["train", "--help"]) == EXIT_OK
+
+
 def test_print_config_round_trips(tmp_path, capsys):
     assert main(["print-config"]) == EXIT_OK
     text = capsys.readouterr().out
@@ -77,7 +89,7 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         code = main(["train", "--config", conf, "--framework", "smart",
-                     "--seed", "5", "--out", str(out), "--single-thread"])
+                     "--seed", "5", "--out", str(out)])
         assert code == EXIT_OK
     for name in RUN_FILES:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

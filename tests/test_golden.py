@@ -24,21 +24,21 @@ from cellshare.config import dump_config
 
 # `cellshare compare --seeds 1`: five runs' artifacts plus summary.csv
 COMPARE_DIGEST = \
-    "9f4c529e7897541d9502413fdda7c91e558b86c963b88a6d22ba8271c569e9ae"
+    "fe5c5ae3f3f43299e4233d0ca6bc3dc7a8827b9236ec3a51ab6e7fa8d814212d"
 # `cellshare train --framework smart` with genie attribution
 GENIE_DIGEST = \
-    "b18b3dea2d897d06ccd7b08085b7c628cd9099d09b0623126ffc8a62c68b496f"
+    "7adb2b33e61ea89629d36300e423ccb6470ab96442b7ede8908b2f45a5acd60a"
 # `cellshare train --framework share-all` on three cells
 THREE_CELL_DIGEST = \
-    "e19064fbf20b16a10a6e9598ae6b114617f83d038599d6259c7dddb9dfe9451a"
+    "e9b1290a6547f1a319924cdb26768cf2d51202e7dfe934a670e11b894c784393"
 # the same three-cell run with buffer_capacity = 40, so every replay
 # buffer wraps many times
 WRAPPING_DIGEST = \
-    "4ab28f8f544b5f4c896a3f52edbdec5ed396290b9d49d8c626b3dd1183e5ec7a"
+    "b228693daf9ec5a5a1c9eea5b63870336591902a7c3ce1fefa2b3832a53434c3"
 # `cellshare train --framework smart` on seven cells (one hex ring),
 # measured attribution
 SEVEN_CELL_DIGEST = \
-    "668529608103e023294ddb9e8a491fd6a3aa92a434719887884191f686482f60"
+    "72cf8e9fd1361a04af41d4b13e87561e02ec8cf6e991d2ab0c1bddb368eaca0e"
 # `cellshare oracle` on two cells with one user each
 ORACLE_DIGEST = \
     "c1d8ace5fc2e80292f20f8468096aa55b4c903754626a24f8c1e8343f2ebe049"

@@ -28,8 +28,9 @@ def _small_net_cfg(users=1, antennas=2, bits=1, pmax=17.0):
 
 
 def test_default_power_grid_frozen():
-    cfg = default_config().network  # floor 0 dBm, budget 40 dBm
-    grid = default_power_grid(cfg)
+    run_cfg = default_config()
+    cfg = run_cfg.network  # floor 0 dBm, budget 40 dBm
+    grid = default_power_grid(cfg, run_cfg.oracle.power_step_db)
     assert np.array_equal(grid, np.arange(0.0, 40.0, 3.0))
     assert grid.size == 14 and grid[-1] == 39.0
     fine = default_power_grid(cfg, step_db=1.0)
@@ -139,8 +140,9 @@ def test_search_space_guards():
         brute_force_step(channels, np.zeros((4, 3)), np.zeros((4, 3), int),
                          cfg, codebook)
     with pytest.raises(SearchSpaceError):
-        global_csi_search(channels, default_power_grid(net_cfg), codebook,
-                          net_cfg)
+        global_csi_search(channels, default_power_grid(
+            net_cfg, default_config().oracle.power_step_db), codebook,
+            net_cfg)
     with pytest.raises(ContractViolation):
         brute_force_step(channels, np.zeros((2, 2)),
                          np.zeros((2, 3), int), net_cfg, codebook)
