@@ -6,10 +6,11 @@ index +-1 moves to the adjacent beam. A codebook depends only on
 (antennas, bits), so each one is built once and shared: its arrays are
 read-only, and a caller who needs a changed codebook must copy them
 first. Channels follow a multipath ray model with log-distance path
-loss and first-order autoregressive fading whose correlation comes from
-the Jakes model at the configured speed. Departure angles are fixed for
-an episode, so each path's steering vector is built once, at the fresh
-draw, and every later step of the episode reuses it.
+loss (``path_loss_gain``, elementwise over distances) and first-order
+autoregressive fading whose correlation comes from the Jakes model at
+the configured speed. Departure angles are fixed for an episode, so each
+path's steering vector is built once, at the fresh draw, and every later
+step of the episode reuses it.
 """
 
 from __future__ import annotations
@@ -150,11 +151,13 @@ def matched_beams(channels: "ChannelSet", codebook: Codebook) -> np.ndarray:
     return np.argmax(scores, axis=-1).astype(int)
 
 
-def path_loss_gain(distance: float, config: NetworkConfig) -> float:
-    """Linear power gain: free-space reference at 1 m, then d**-n."""
-    d = max(float(distance), MIN_PATHLOSS_DISTANCE)
+def path_loss_gain(distance: float | np.ndarray,
+                   config: NetworkConfig) -> float | np.ndarray:
+    """Linear power gain of each distance: free-space reference at 1 m,
+    then d**-n, with d clamped to MIN_PATHLOSS_DISTANCE."""
     lam_over_4pi = SPEED_OF_LIGHT / (4.0 * math.pi * config.carrier_freq)
-    return (lam_over_4pi ** 2) * d ** (-config.pathloss_exponent)
+    return (lam_over_4pi ** 2) * np.maximum(distance, MIN_PATHLOSS_DISTANCE) \
+        ** (-config.pathloss_exponent)
 
 
 def doppler_correlation(config: NetworkConfig) -> float:
@@ -177,10 +180,6 @@ class ChannelSet:
     vectors: np.ndarray   # (L, L, U, M) complex
     gains: np.ndarray     # (L, L, U, P) complex per-path gains, unit variance
     steering: np.ndarray  # (L, L, U, P, M) complex, fixed per episode
-
-    @property
-    def shape(self):
-        return self.vectors.shape
 
 
 def sample_channels(layout: CellLayout, users: UserSet,
@@ -223,10 +222,7 @@ def sample_channels(layout: CellLayout, users: UserSet,
 
     # distance from source BS j to user (l, u)
     diff = users.positions[:, None, :, :] - layout.positions[None, :, None, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    lam_over_4pi = SPEED_OF_LIGHT / (4.0 * math.pi * config.carrier_freq)
-    pl = (lam_over_4pi ** 2) * np.maximum(dist, MIN_PATHLOSS_DISTANCE) \
-        ** (-config.pathloss_exponent)
+    pl = path_loss_gain(np.linalg.norm(diff, axis=-1), config)
 
     scale = np.sqrt(M * pl / P)
     vectors = scale[..., None] * np.einsum("ljup,ljupm->ljum", gains,

@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__, metrics, oracle, sharing
 from .config import (RunConfig, default_config, dump_config, load_config,
                      resolved_dict, validate_config)
-from .errors import (CellshareError, ConfigError, ContractViolation,
-                     MeasurementError, SearchSpaceError, TrainingFault)
+from .errors import CellshareError, ConfigError, TrainingFault
 from .environment import Environment
 from .training import RunArtifacts, evaluate, run_training
 
@@ -300,8 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as err:
         print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingFault, ContractViolation, MeasurementError,
-            SearchSpaceError) as err:
+    except CellshareError as err:
         print("runtime error: %s" % err, file=sys.stderr)
         return EXIT_RUNTIME
     except (IOError, OSError) as err:

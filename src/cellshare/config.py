@@ -20,11 +20,11 @@ from typing import Dict, Tuple
 from .errors import ConfigError
 
 
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
+ATTRIBUTION_MODES = ("measured", "genie")  # values of [sharing] attribution
 
 
 def db_to_linear(db: float) -> float:
+    """dB to a linear ratio, or dBm to mW; elementwise on arrays."""
     return 10.0 ** (db / 10.0)
 
 
@@ -58,15 +58,15 @@ class NetworkConfig:
 
     @property
     def noise_mw(self) -> float:
-        return dbm_to_mw(self.noise_dbm)
+        return db_to_linear(self.noise_dbm)
 
     @property
     def max_bs_power_mw(self) -> float:
-        return dbm_to_mw(self.max_bs_power_dbm)
+        return db_to_linear(self.max_bs_power_dbm)
 
     @property
     def min_ue_power_mw(self) -> float:
-        return dbm_to_mw(self.min_ue_power_dbm)
+        return db_to_linear(self.min_ue_power_dbm)
 
     @property
     def min_sinr(self) -> float:
@@ -74,16 +74,11 @@ class NetworkConfig:
 
     @property
     def interference_threshold_mw(self) -> float:
-        return dbm_to_mw(self.interference_threshold_dbm)
+        return db_to_linear(self.interference_threshold_dbm)
 
     @property
     def codebook_size(self) -> int:
         return 2 ** self.codebook_bits
-
-    def initial_ue_power_dbm(self) -> float:
-        """Even split of the budget minus 3 dB of headroom."""
-        return (self.max_bs_power_dbm
-                - 10.0 * math.log10(self.users_per_cell) - 3.0)
 
 
 @dataclass
@@ -211,6 +206,14 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
         if not ok:
             _fail(source, lines, section, key, message)
 
+    # NaN fails every comparison: a range check would let it through
+    for section, keys in _SCHEMA.items():
+        holder = getattr(cfg, section)
+        for key, (attr, conv) in keys.items():
+            check(section, key,
+                  conv is not float or not math.isnan(getattr(holder, attr)),
+                  "%s must not be NaN" % key)
+
     check("network", "cells", net.cells >= 1, "cells must be >= 1")
     check("network", "users_per_cell", net.users_per_cell >= 1,
           "users_per_cell must be >= 1")
@@ -230,6 +233,9 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
     check("network", "pathloss_exponent", net.pathloss_exponent > 0,
           "pathloss_exponent must be positive")
     check("network", "paths", net.paths >= 1, "paths must be >= 1")
+    # inf noise leaves no signal to report, -inf no noise to divide by
+    check("network", "noise_power_dbm", math.isfinite(net.noise_dbm),
+          "noise_power_dbm must be finite")
     check("network", "punishment", net.punishment > 0,
           "punishment must be positive")
     check("network", "max_bs_power_dbm",
@@ -264,8 +270,8 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
     check("training", "sumrate_mode", tr.sumrate_mode in ("final", "mean"),
           "sumrate_mode must be 'final' or 'mean'")
 
-    check("sharing", "attribution", sh.attribution in ("measured", "genie"),
-          "attribution must be 'measured' or 'genie'")
+    check("sharing", "attribution", sh.attribution in ATTRIBUTION_MODES,
+          "attribution must be " + " or ".join(map(repr, ATTRIBUTION_MODES)))
     check("sharing", "ctde_sync_period", sh.ctde_sync_period >= 1,
           "ctde_sync_period must be >= 1")
 

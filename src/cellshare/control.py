@@ -16,11 +16,12 @@ equals the unbatched call on that cell bit for bit.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 
-from .config import NetworkConfig
+from .config import NetworkConfig, db_to_linear
 from .errors import ContractViolation
 
 
@@ -40,7 +41,7 @@ def apply_power_command(prev_dbm: np.ndarray, power_bits: np.ndarray,
     prev_dbm = np.asarray(prev_dbm, dtype=float)
     delta = np.where(np.asarray(power_bits) == 1, 1.0, -1.0)
     tentative = np.maximum(prev_dbm + delta, config.min_ue_power_dbm)
-    over = np.sum(10.0 ** (tentative / 10.0), axis=-1, keepdims=True) \
+    over = np.sum(db_to_linear(tentative), axis=-1, keepdims=True) \
         > config.max_bs_power_mw
     return np.where(over, np.maximum(prev_dbm - 1.0, config.min_ue_power_dbm),
                     tentative)
@@ -122,8 +123,9 @@ def reward(sinrs: np.ndarray, inter_mw: np.ndarray, min_sinr: float,
 
 
 def initial_powers_dbm(config: NetworkConfig) -> np.ndarray:
-    """Per-user starting powers: equal split with 3 dB headroom."""
-    value = config.initial_ue_power_dbm()
-    if value < config.min_ue_power_dbm:
-        value = config.min_ue_power_dbm
+    """Per-user starting powers: an even split of the budget minus 3 dB
+    of headroom, floored at the per-user minimum."""
+    value = max(config.max_bs_power_dbm
+                - 10.0 * math.log10(config.users_per_cell) - 3.0,
+                config.min_ue_power_dbm)
     return np.full(config.users_per_cell, value, dtype=float)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import control
 from .channel import beam_codebook, matched_beams, sample_channels
-from .config import NetworkConfig
+from .config import NetworkConfig, db_to_linear
 from .errors import ContractViolation
 from .geometry import build_layout, spawn_users, step_mobility
 from .physics import PowerTable, measure_inter_cell, received_powers, sinr
@@ -67,7 +67,7 @@ class Environment:
         cfg = self.config
         self.powers_dbm, self.beams = control.apply_joint_action(
             actions, self.powers_dbm, self.beams, cfg)
-        powers_mw = 10.0 ** (self.powers_dbm / 10.0)
+        powers_mw = db_to_linear(self.powers_dbm)
         budget_mw = powers_mw.sum(axis=1)
         bad = (budget_mw > cfg.max_bs_power_mw) | np.any(
             (self.beams < 0) | (self.beams >= cfg.codebook_size), axis=1)

@@ -2,10 +2,10 @@
 
 Base stations sit on a hexagonal lattice: the first site is at the
 origin and further sites are taken ring by ring outwards, each ring
-walked counter-clockwise starting from the +x axis, so any two adjacent
-sites are exactly one inter-site distance apart. Users are dropped
-uniformly on a disk around their serving BS and do a correlated random
-walk inside it.
+walked side by side counter-clockwise from its corner on the +x axis
+(the order of increasing angle), so any two adjacent sites are exactly
+one inter-site distance apart. Users are dropped uniformly on a disk
+around their serving BS and do a correlated random walk inside it.
 """
 
 from __future__ import annotations
@@ -22,10 +22,14 @@ from .errors import ContractViolation
 HEADING_SIGMA = 0.1
 
 
+# axial steps along the six sides of a hex ring, counter-clockwise from
+# the ring's corner on the +x axis
+_RING_SIDES = ((-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1))
+
+
 @dataclass
 class CellLayout:
     positions: np.ndarray  # (L, 2) BS coordinates in meters
-    inter_site_distance: float
 
     @property
     def cells(self) -> int:
@@ -38,31 +42,23 @@ def build_layout(cells: int, inter_site_distance: float) -> CellLayout:
     if inter_site_distance <= 0:
         raise ContractViolation("inter_site_distance must be positive")
 
-    # enumerate axial hex coordinates by (ring, angle); ring 0 is the origin
+    # axial hex coordinates ring by ring; ring 0 is the origin and ring
+    # k starts at (k, 0)
     coords = [(0, 0)]
     ring = 1
     while len(coords) < cells:
-        ring_coords = []
-        for q in range(-ring, ring + 1):
-            for r in range(-ring, ring + 1):
-                if max(abs(q), abs(r), abs(q + r)) == ring:
-                    ring_coords.append((q, r))
-        ring_coords.sort(key=lambda qr: _axial_angle(qr[0], qr[1]))
-        coords.extend(ring_coords)
+        q, r = ring, 0
+        for dq, dr in _RING_SIDES:
+            for _ in range(ring):
+                coords.append((q, r))
+                q, r = q + dq, r + dr
         ring += 1
 
     pts = np.empty((cells, 2), dtype=float)
     for i, (q, r) in enumerate(coords[:cells]):
         pts[i, 0] = inter_site_distance * (q + 0.5 * r)
         pts[i, 1] = inter_site_distance * (math.sqrt(3.0) / 2.0) * r
-    return CellLayout(positions=pts, inter_site_distance=inter_site_distance)
-
-
-def _axial_angle(q: int, r: int) -> float:
-    x = q + 0.5 * r
-    y = (math.sqrt(3.0) / 2.0) * r
-    ang = math.atan2(y, x)
-    return ang if ang >= 0.0 else ang + 2.0 * math.pi
+    return CellLayout(positions=pts)
 
 
 @dataclass

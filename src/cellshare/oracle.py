@@ -10,8 +10,9 @@ candidate per cell in itertools.product order, SEARCH_CHUNK picks per
 batched received_powers call. Within a chunk argmax keeps the first
 maximum, and a later chunk replaces the best only with a strictly
 larger rate, so the result is the first strict maximum over the whole
-space whatever the chunk size, and each rate equals
-evaluate_configuration's for the same configuration bit for bit.
+space whatever the chunk size. evaluate_configuration scores one
+configuration as a batch of one, so its rate equals the searches' for
+the same configuration bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import numpy as np
 
 from . import control
 from .channel import ChannelSet, Codebook
-from .config import NetworkConfig
+from .config import NetworkConfig, db_to_linear
 from .errors import ContractViolation, SearchSpaceError
-from .metrics import network_sum_rate
 from .physics import received_powers, sinr
 
 BRUTE_FORCE_LIMIT = 2 ** 20
@@ -45,19 +45,15 @@ def evaluate_configuration(channels: ChannelSet, powers_dbm: np.ndarray,
                            beams: np.ndarray, config: NetworkConfig,
                            codebook: Codebook) -> float:
     """Network sum-rate of one explicit power/beam configuration."""
-    powers_mw = 10.0 ** (np.asarray(powers_dbm, dtype=float) / 10.0)
-    table = received_powers(channels, powers_mw, np.asarray(beams), codebook)
-    return network_sum_rate(sinr(table, config.noise_mw))
+    powers_mw = db_to_linear(np.asarray(powers_dbm, dtype=float))
+    return float(_sum_rates(channels, powers_mw[None],
+                            np.asarray(beams)[None], config, codebook)[0])
 
 
 def _sum_rates(channels: ChannelSet, powers_mw: np.ndarray,
                beams: np.ndarray, config: NetworkConfig,
                codebook: Codebook) -> np.ndarray:
-    """Network sum-rate of each of B configurations: (B, L, U) -> (B,).
-
-    Each row is summed as network_sum_rate sums one configuration, so a
-    row's rate equals evaluate_configuration's bit for bit.
-    """
+    """Network sum-rate of each of B configurations: (B, L, U) -> (B,)."""
     table = received_powers(channels, powers_mw, beams, codebook)
     rates = np.log2(1.0 + sinr(table, config.noise_mw))
     return rates.reshape(len(rates), -1).sum(axis=1)
@@ -117,7 +113,7 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
     # (L, n_actions, U): every action applied to every cell at once
     cell_powers, cell_beams = control.apply_joint_action(
         np.arange(n_actions), powers_dbm[:, None], beams[:, None], config)
-    return _best_combination(channels, 10.0 ** (cell_powers / 10.0),
+    return _best_combination(channels, db_to_linear(cell_powers),
                              cell_beams, config, codebook)
 
 
@@ -154,7 +150,7 @@ def global_csi_search(channels: ChannelSet, power_grid_dbm: Sequence[float],
 
     # per-cell candidate assignments that respect the budget, in the
     # order of nested itertools.product loops over levels, then beams
-    grid_mw = 10.0 ** (grid / 10.0)
+    grid_mw = db_to_linear(grid)
     levels = _product_rows(grid.size, U)
     levels = levels[grid_mw[levels].sum(axis=1) <= config.max_bs_power_mw]
     if not len(levels):
@@ -164,7 +160,7 @@ def global_csi_search(channels: ChannelSet, power_grid_dbm: Sequence[float],
     cell_beams = np.tile(beam_rows, (len(levels), 1))
 
     picks, rate = _best_combination(
-        channels, np.broadcast_to(10.0 ** (cell_powers / 10.0),
+        channels, np.broadcast_to(db_to_linear(cell_powers),
                                   (L,) + cell_powers.shape),
         np.broadcast_to(cell_beams, (L,) + cell_beams.shape),
         config, codebook)

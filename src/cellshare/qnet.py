@@ -9,14 +9,16 @@ agent k's view) that every function broadcasts over, with (K, B, ...)
 minibatches; ``@`` on swapped axes runs one product per agent, so each
 agent's slice equals its unstacked call bit for bit.
 
-Every (..., B, .) array of a step (layer outputs, deltas, gradients)
+Every (..., B, .) array of a pass (layer outputs, deltas, gradients)
 lives in a ``Workspace`` made for one minibatch shape. A training run
-builds one next to its learner and target stacks and passes it to each
-``train_step``, which then allocates no activation, delta or gradient
-of its own; the run owns it, a ``QNetwork`` never holds one. Called
-without one, ``train_step`` makes one for the call. ``forward_batch``,
-``td_targets`` and ``loss_and_gradients`` run the same kernels on arrays
-made for their call, so what they return belongs to the caller.
+builds two next to its stacks, one for the learners' minibatches and one
+for the acting pass (one row per agent), and passes them to each
+``train_step`` and ``select_action``, which then allocate no
+activation, delta or gradient of their own; the run owns them, a
+``QNetwork`` never holds one. Called without one, ``train_step`` makes
+one for the call. ``forward_batch``, ``td_targets`` and
+``loss_and_gradients`` run the same kernels in a workspace made for
+their call, so what they return belongs to the caller.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ class Workspace:
     gradients on before it takes the next layer's."""
 
     def __init__(self, net: QNetwork, batch: int):
-        shapes = _layer_shapes(net, net.w1.shape[:-2] + (int(batch),))
+        lead = net.w1.shape[:-2] + (int(batch),)
+        shapes = [lead + (n,) for n in net.hidden + (net.output_size,)]
         self.outs = [np.empty(shape) for shape in shapes]
         self.spreads = _shared(shapes)
         self.dz1, self.dz2 = (np.empty(shape) for shape in shapes[:2])
@@ -126,12 +129,6 @@ def _shared(shapes):
     sizes = [math.prod(shape) for shape in shapes]
     flat = np.empty(max(sizes))
     return [flat[:size].reshape(shape) for size, shape in zip(sizes, shapes)]
-
-
-def _layer_shapes(net: QNetwork, lead: Tuple[int, ...]):
-    """Shapes of the three layers' outputs for rows of leading shape
-    ``lead``."""
-    return [lead + (n,) for n in net.hidden + (net.output_size,)]
 
 
 def _rows(net: QNetwork, x) -> np.ndarray:
@@ -154,29 +151,28 @@ def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _forward(net: QNetwork, x: np.ndarray, outs, spreads) -> np.ndarray:
-    """Q-values of the rows ``x`` into ``outs[2]``, the hidden
-    activations into ``outs[0]`` and ``outs[1]``; returns the Q-values."""
-    a1, a2, q = outs
+def _forward(net: QNetwork, x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Q-values of the rows ``x`` into ``ws.outs[2]``, the hidden
+    activations into ``ws.outs[0]`` and ``ws.outs[1]``; returns the
+    Q-values."""
+    (a1, a2, q), spreads = ws.outs, ws.spreads
+    if q.shape[:-1] != x.shape[:-1]:
+        raise ContractViolation("workspace made for another minibatch shape")
     np.maximum(_dense(x, net.w1, net.b1, a1, spreads[0]), 0.0, out=a1)
     np.maximum(_dense(a1, net.w2, net.b2, a2, spreads[1]), 0.0, out=a2)
     return _dense(a2, net.w3, net.b3, q, spreads[2])
 
 
-def forward_batch(net: QNetwork, x: np.ndarray):
-    """Batch forward pass; returns Q-values plus the backprop cache."""
+def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
+    """Q-values of (B, input_size) rows, or of (K, B, input_size) rows
+    for a K-agent stack."""
     x = _rows(net, x)
-    lead = np.broadcast_shapes(net.w1.shape[:-2], x.shape[:-2]) \
-        + x.shape[-2:-1]
-    shapes = _layer_shapes(net, lead)
-    outs = [np.empty(shape) for shape in shapes]
-    q = _forward(net, x, outs, [np.empty(shape) for shape in shapes])
-    return q, (x, outs[0], outs[1])
+    return _forward(net, x, Workspace(net, x.shape[-2]))
 
 
 def q_forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
     """Q-values of a single state, shape (output_size,)."""
-    return forward_batch(net, np.asarray(state, dtype=float)[None, :])[0][0]
+    return forward_batch(net, state)[0]
 
 
 def _targets(q_next: np.ndarray, rewards: np.ndarray,
@@ -188,8 +184,7 @@ def td_targets(target_net: QNetwork, rewards: np.ndarray,
                next_states: np.ndarray, alpha: float) -> np.ndarray:
     """Bootstrapped targets. Episodes are fixed length, so every
     transition bootstraps (no terminal cutoff)."""
-    return _targets(forward_batch(target_net, next_states)[0], rewards,
-                    alpha)
+    return _targets(forward_batch(target_net, next_states), rewards, alpha)
 
 
 def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
@@ -201,11 +196,9 @@ def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
         raise ContractViolation("minibatch must contain at least one item")
     if np.any(actions < 0) or np.any(actions >= net.output_size):
         raise ContractViolation("action index outside the network head")
-    if ws.outs[2].shape[:-1] != states.shape[:-1]:
-        raise ContractViolation("workspace made for another minibatch shape")
-    y = _targets(_forward(target_net, _rows(target_net, next_states),
-                          ws.outs, ws.spreads), rewards, alpha)
-    q = _forward(net, states, ws.outs, ws.spreads)
+    y = _targets(_forward(target_net, _rows(target_net, next_states), ws),
+                 rewards, alpha)
+    q = _forward(net, states, ws)
     # Q-values indexed by transition, over all agents of a stack
     rows, acts, b = np.arange(actions.size), actions.ravel(), actions.shape[-1]
     diff = y - q.reshape(rows.size, -1)[rows, acts].reshape(actions.shape)
@@ -284,10 +277,12 @@ def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
 
 
 def select_action(net: QNetwork, states: np.ndarray, epsilon: float,
-                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
+                  rngs: Sequence[np.random.Generator],
+                  workspace: Workspace) -> np.ndarray:
     """Epsilon-greedy for each agent of a stack: agent k draws
     ``random()``, then maybe its action, from ``rngs[k]``; the greedy
-    agents share one forward pass and break ties toward index 0."""
+    agents share one forward pass, in ``workspace`` (made for the stack
+    with batch 1), and break ties toward index 0."""
     if not 0.0 <= epsilon <= 1.0:
         raise ContractViolation("epsilon must be in [0, 1]")
     states = np.asarray(states, dtype=float)
@@ -301,6 +296,6 @@ def select_action(net: QNetwork, states: np.ndarray, epsilon: float,
         else:
             greedy.append(k)
     if greedy:
-        q, _ = forward_batch(net, states[:, None, :])
-        actions[greedy] = np.argmax(q[greedy, 0], axis=-1)
+        q = _forward(net, _rows(net, states[:, None, :]), workspace)
+        actions[greedy] = np.argmax(q[:, 0], axis=-1)[greedy]
     return actions

@@ -7,13 +7,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .control import state_size
 from .errors import ContractViolation
 
 
 def experience_scalars(users_per_cell: int) -> int:
     """Scalars on the wire per shared experience: two states, the
     action, the reward. Origin tags ride for free."""
-    return 2 * (4 * users_per_cell) + 2 + 1
+    return 2 * state_size(users_per_cell) + 2 + 1
 
 
 class TransitionTable:

@@ -34,11 +34,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import ATTRIBUTION_MODES
 from .errors import ContractViolation
 from .qnet import QNetwork
 from .replay import ReplayBuffer
-
-ATTRIBUTION_MODES = ("measured", "genie")
 
 
 @dataclass

@@ -95,6 +95,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
         else streams[2:3 * L:3]
     target = learner.copy()
     workspace = Workspace(learner, tr_cfg.batch_size)  # every step's arrays
+    acting = Workspace(agents, 1)
     owner = np.arange(L) % len(learner)  # the learner of each cell's rows
     learner_buffers = [ReplayBuffer(tr_cfg.buffer_capacity)
                        for _ in sample_rngs]
@@ -125,7 +126,8 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 step_idx = episode * T + t
 
                 # --- act and advance ------------------------------------
-                actions = select_action(agents, states, epsilon, action_rngs)
+                actions = select_action(agents, states, epsilon, action_rngs,
+                                        acting)
                 result = env.step(actions)
 
                 if not all(math.isfinite(r) for r in result.rewards):
@@ -204,12 +206,13 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
     env = Environment(net_cfg, np.random.SeedSequence(seed))
     log = MetricsLog()
     dummy_rngs = [np.random.default_rng(0)] * L  # unused at epsilon=0
+    acting = Workspace(nets, 1)
 
     for episode in range(eval_episodes):
         env.reset()
         for t in range(cfg.training.steps_per_episode):
             result = env.step(select_action(nets, env.states(), 0.0,
-                                            dummy_rngs))
+                                            dummy_rngs, acting))
             _log_step(log, episode, t, result.rewards, [math.nan] * L, 0.0,
                       [0] * L, [0] * L)
         _log_episode(log, episode, env.sinr_history,

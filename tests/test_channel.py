@@ -95,6 +95,13 @@ def test_path_loss_reference_and_exponent():
     # distances under the 10 m close-in clamp all see the clamp gain
     assert path_loss_gain(1.0, net) == path_loss_gain(10.0, net)
     assert path_loss_gain(0.01, net) == path_loss_gain(10.0, net)
+    # an array is taken element by element, each clamped on its own
+    dist = np.array([[0.01, 1.0, 10.0], [20.0, 333.3, 1e4]])
+    gains = path_loss_gain(dist, net)
+    assert gains.shape == dist.shape
+    assert np.all(gains[0] == path_loss_gain(10.0, net))
+    assert np.array_equal(gains, [[path_loss_gain(d, net) for d in row]
+                                  for row in dist])
 
 
 def test_doppler_correlation_values():

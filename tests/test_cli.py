@@ -7,6 +7,7 @@ import pytest
 
 from conftest import small_run_config, tiny_config
 
+from cellshare import cli
 from cellshare.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -17,6 +18,7 @@ from cellshare.cli import (
     main,
 )
 from cellshare.config import dump_config
+from cellshare.errors import CellshareError
 from cellshare.metrics import read_csv
 
 RUN_FILES = ("metrics.csv", "sinr_samples.csv", "sumrate.csv",
@@ -124,6 +126,18 @@ def test_training_fault_exits_runtime_with_partial_artifacts(tmp_path,
     info = json.loads((out / "run.json").read_text())
     assert info["status"].startswith("aborted")
     assert (out / "metrics.csv").is_file()
+
+
+def test_any_package_error_exits_runtime(monkeypatch, capsys):
+    class NewError(CellshareError):
+        pass
+
+    def fail(args):
+        raise NewError("no such thing")
+
+    monkeypatch.setattr(cli, "cmd_print_config", fail)
+    assert main(["print-config"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: no such thing\n"
 
 
 def test_ccdf_fractions(tmp_path):

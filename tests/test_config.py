@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellshare.config import (db_to_linear, dbm_to_mw, default_config,
+from cellshare.config import (_SCHEMA, db_to_linear, default_config,
                               dump_config, parse_config, resolved_dict,
                               validate_config)
+from cellshare.control import initial_powers_dbm
 from cellshare.errors import ConfigError
 
 
 def test_unit_conversions():
-    assert dbm_to_mw(0.0) == 1.0
-    assert dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
-    assert dbm_to_mw(-110.0) == pytest.approx(1e-11, rel=1e-12)
+    assert db_to_linear(30.0) == pytest.approx(1000.0, rel=1e-12)
+    assert db_to_linear(-110.0) == pytest.approx(1e-11, rel=1e-12)
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(3.0) == pytest.approx(1.9952623149688795, rel=1e-12)
@@ -56,8 +56,8 @@ def test_derived_quantities():
     assert net.codebook_size == 8
     assert net.min_sinr == pytest.approx(10.0 ** -0.3, rel=1e-12)
     # even split with 3 dB headroom: 40 - 10 log10(3) - 3
-    assert net.initial_ue_power_dbm() == pytest.approx(
-        32.228787452803374, rel=1e-12)
+    assert initial_powers_dbm(net) == pytest.approx(
+        [32.228787452803374] * 3, rel=1e-12)
 
 
 def test_parse_overrides_defaults():
@@ -89,6 +89,25 @@ def test_parse_errors_are_line_precise():
         parse_config("[network]\ncells = two\n")
     with pytest.raises(ConfigError, match="unterminated"):
         parse_config("[network\n")
+
+
+def test_nan_values_and_unbounded_noise_are_rejected():
+    # NaN fails every comparison, so a range check alone lets it through
+    floats = [(section, key) for section, keys in _SCHEMA.items()
+              for key, (_attr, conv) in keys.items() if conv is float]
+    assert ("network", "min_sinr_db") in floats
+    for section, key in floats:
+        with pytest.raises(ConfigError, match="line 3: %s " % key):
+            parse_config("[%s]\n\n%s = nan\n" % (section, key))
+    for value in ("inf", "-inf"):
+        with pytest.raises(ConfigError,
+                           match="line 2: noise_power_dbm must be finite"):
+            parse_config("[network]\nnoise_power_dbm = %s\n" % value)
+    # an unbounded SINR floor or interference threshold is a valid policy
+    cfg = parse_config("[network]\nmin_sinr_db = -inf\n"
+                       "interference_threshold_dbm = inf\n")
+    assert cfg.network.min_sinr == 0.0
+    assert cfg.network.interference_threshold_mw == math.inf
 
 
 def test_validation_catches_bad_values():

@@ -1,5 +1,7 @@
 """Hexagonal layout, disk user drops and the correlated random walk."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,37 @@ def test_layout_pairwise_minimum_spacing():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert np.linalg.norm(pts[i] - pts[j]) >= 225.0 - 1e-6
+
+
+def _sorted_rings(cells, spacing):
+    """Hex sites listed ring by ring, each ring's axial coordinates
+    enumerated over a square and sorted by angle in [0, 2 pi): the
+    reference the ring walk must reproduce."""
+    def angle(q, r):
+        a = math.atan2((math.sqrt(3.0) / 2.0) * r, q + 0.5 * r)
+        return a if a >= 0.0 else a + 2.0 * math.pi
+
+    coords = [(0, 0)]
+    ring = 1
+    while len(coords) < cells:
+        coords.extend(sorted(
+            ((q, r) for q in range(-ring, ring + 1)
+             for r in range(-ring, ring + 1)
+             if max(abs(q), abs(r), abs(q + r)) == ring),
+            key=lambda qr: angle(*qr)))
+        ring += 1
+    pts = np.empty((cells, 2))
+    for i, (q, r) in enumerate(coords[:cells]):
+        pts[i] = (spacing * (q + 0.5 * r),
+                  spacing * (math.sqrt(3.0) / 2.0) * r)
+    return pts
+
+
+def test_layout_walk_equals_sorted_rings():
+    for cells in range(1, 128):
+        for spacing in (1.0, 225.0):
+            assert np.array_equal(build_layout(cells, spacing).positions,
+                                  _sorted_rings(cells, spacing))
 
 
 def test_layout_rejects_bad_arguments():

@@ -43,7 +43,6 @@ def test_no_unused_imports():
 
 # Public names kept although nothing in src/ or perfbench/ reads them.
 KEEP_UNREAD = {
-    "path_loss_gain": "the channel reference in the tests",
     "sum_rate_metric": "the quantity criterion 9 checks",
     "q_forward": "criterion 07's greedy reference",
     "loss_and_gradients": "criterion 03's gradient check",

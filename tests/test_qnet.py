@@ -80,7 +80,7 @@ def test_forward_hand_example():
     assert np.array_equal(q_forward(net, [1.0, 2.0]), [1.5, 1.0])
     # both hidden units cut off: the output falls back to b3
     assert np.array_equal(q_forward(net, [-3.0, 0.5]), [0.5, 0.0])
-    q, _ = forward_batch(net, [[1.0, 2.0], [-3.0, 0.5]])
+    q = forward_batch(net, [[1.0, 2.0], [-3.0, 0.5]])
     assert np.array_equal(q, [[1.5, 1.0], [0.5, 0.0]])
     with pytest.raises(ContractViolation):
         q_forward(net, [1.0, 2.0, 3.0])
@@ -159,7 +159,7 @@ def test_train_step_raises_on_nonfinite_loss():
 
 def _one_agent(state, net, epsilon, rng):
     """select_action on a one-agent stack; the agent's action."""
-    actions = select_action(net, [state], epsilon, [rng])
+    actions = select_action(net, [state], epsilon, [rng], Workspace(net, 1))
     assert actions.shape == (1,)
     return actions[0]
 
@@ -227,13 +227,13 @@ def _stack_case(agents, inputs, h1, h2, size, seed):
 def test_stacked_forward_and_gradients_equal_per_agent_calls(case):
     nets, targets, batches, stacked = _stack_case(*case)
     net, target = QNetwork.stack(nets), QNetwork.stack(targets)
-    q, _ = forward_batch(net, stacked[0])
+    q = forward_batch(net, stacked[0])
     losses, grads = loss_and_gradients(net, target, *stacked, 0.9)
     assert losses.shape == (len(nets),)
     for k, (one, one_target, batch) in enumerate(
             zip(nets, targets, batches)):
-        assert np.array_equal(q[k], forward_batch(one, batch[0])[0])
-        assert np.array_equal(forward_batch(net[k], batch[0])[0], q[k])
+        assert np.array_equal(q[k], forward_batch(one, batch[0]))
+        assert np.array_equal(forward_batch(net[k], batch[0]), q[k])
         loss, grad = loss_and_gradients(one, one_target, *batch, 0.9)
         assert losses[k] == loss
         for name in grad:
@@ -336,11 +336,37 @@ def test_run_owned_workspace_step_allocates_no_batch_arrays():
     assert peak - before < 64 * 1024
 
 
+def test_run_owned_workspace_greedy_pass_allocates_no_layer_arrays():
+    """The acting pass's layer outputs and bias spreads live in the
+    run's workspace: a greedy K = 19 call at the desk sizes allocates
+    about 2 KB (one that made its own arrays took about 55 KB)."""
+    rng = np.random.default_rng(14)
+    agents = 19
+    net = QNetwork.stack([QNetwork(12, 64, rng=rng) for _ in range(agents)])
+    workspace = Workspace(net, 1)
+    states = rng.normal(size=(agents, 12))
+    rngs = [np.random.default_rng(k) for k in range(agents)]
+    select_action(net, states, 0.0, rngs, workspace)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        select_action(net, states, 0.0, rngs, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 16 * 1024
+
+
 def test_workspace_must_fit_the_minibatch():
     nets, targets, _batches, stacked = _stack_case(2, 3, 4, 4, 5, 13)
     net, target = QNetwork.stack(nets), QNetwork.stack(targets)
     with pytest.raises(ContractViolation):
         train_step(net, target, *stacked, 0.9, 0.05, Workspace(net, 4))
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    with pytest.raises(ContractViolation):
+        select_action(net, stacked[0][:, 0], 0.0, rngs, Workspace(net, 2))
+    with pytest.raises(ContractViolation):
+        select_action(net, stacked[0][:, 0], 0.0, rngs, Workspace(net[0], 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,7 +377,7 @@ def test_stacked_select_action_equals_per_agent_choices(case, epsilon):
     states = np.array([batch[0][0] for batch in batches])
     seed = case[-1]
     rngs = [np.random.default_rng([seed, k]) for k in range(len(nets))]
-    actions = select_action(net, states, epsilon, rngs)
+    actions = select_action(net, states, epsilon, rngs, Workspace(net, 1))
     for k, one in enumerate(nets):
         # the per-agent rule: random(), then maybe integers(), from the
         # agent's own stream; otherwise the lowest argmax of its Q-values
