@@ -66,11 +66,6 @@ def _final_quarter_mean(sumrate_rows: Sequence[Tuple[int, float]]) -> float:
     return float(np.mean(values[-window:]))
 
 
-def _zero_share_fraction(ledger: sharing.OverheadLedger) -> float:
-    """The ledger's zero-share fraction, NaN for a run that never stepped."""
-    return ledger.zero_share_fraction() if ledger.rows else math.nan
-
-
 def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
                      overridden: bool, status: str) -> None:
     ledger = artifacts.ledger
@@ -85,7 +80,7 @@ def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
         "final_epsilon": artifacts.final_epsilon,
         "experiences_shared_total": ledger.experiences_total,
         "scalars_shared_total": ledger.scalars_total,
-        "zero_share_fraction": _zero_share_fraction(ledger),
+        "zero_share_fraction": ledger.zero_share_fraction(),
         "final_quarter_sum_rate": _final_quarter_mean(
             artifacts.log.sumrate_rows),
     }
@@ -129,7 +124,7 @@ def _summary_row(framework: str, seed: int,
             _final_quarter_mean(artifacts.log.sumrate_rows),
             float(np.mean(sinr_values)) if sinr_values else math.nan,
             artifacts.ledger.scalars_total,
-            _zero_share_fraction(artifacts.ledger), "ok")
+            artifacts.ledger.zero_share_fraction(), "ok")
 
 
 def cmd_compare(args) -> int:

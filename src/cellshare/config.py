@@ -94,7 +94,6 @@ class TrainingConfig:
     epsilon_min: float = 0.05
     target_refresh_steps: int = 1       # gradient steps between target-net copies
     eval_episodes: int = 20
-    sumrate_mode: str = "final"         # final | mean: which step SINRs define an episode's sum-rate
 
 
 @dataclass
@@ -206,13 +205,21 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
         if not ok:
             _fail(source, lines, section, key, message)
 
-    # NaN fails every comparison: a range check would let it through
+    # NaN fails every comparison and inf passes most range checks, so
+    # neither may reach them; only an unbounded SINR floor or
+    # interference threshold is a valid policy
     for section, keys in _SCHEMA.items():
         holder = getattr(cfg, section)
         for key, (attr, conv) in keys.items():
-            check(section, key,
-                  conv is not float or not math.isnan(getattr(holder, attr)),
-                  "%s must not be NaN" % key)
+            if conv is not float:
+                continue
+            value = getattr(holder, attr)
+            if key in ("min_sinr_db", "interference_threshold_dbm"):
+                check(section, key, not math.isnan(value),
+                      "%s must not be NaN" % key)
+            else:
+                check(section, key, math.isfinite(value),
+                      "%s must be finite" % key)
 
     check("network", "cells", net.cells >= 1, "cells must be >= 1")
     check("network", "users_per_cell", net.users_per_cell >= 1,
@@ -233,9 +240,6 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
     check("network", "pathloss_exponent", net.pathloss_exponent > 0,
           "pathloss_exponent must be positive")
     check("network", "paths", net.paths >= 1, "paths must be >= 1")
-    # inf noise leaves no signal to report, -inf no noise to divide by
-    check("network", "noise_power_dbm", math.isfinite(net.noise_dbm),
-          "noise_power_dbm must be finite")
     check("network", "punishment", net.punishment > 0,
           "punishment must be positive")
     check("network", "max_bs_power_dbm",
@@ -267,8 +271,6 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
           "target_refresh_steps must be >= 1")
     check("training", "eval_episodes", tr.eval_episodes >= 1,
           "eval_episodes must be >= 1")
-    check("training", "sumrate_mode", tr.sumrate_mode in ("final", "mean"),
-          "sumrate_mode must be 'final' or 'mean'")
 
     check("sharing", "attribution", sh.attribution in ATTRIBUTION_MODES,
           "attribution must be " + " or ".join(map(repr, ATTRIBUTION_MODES)))

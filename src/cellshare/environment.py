@@ -54,7 +54,6 @@ class Environment:
                                   (cfg.cells, 1))
         self.beams = matched_beams(self.channels, self.codebook)
         self.offsets = self.users.offsets(self.layout)
-        self.sinr_history: List[np.ndarray] = []  # one (L, U) per step
 
     def states(self) -> np.ndarray:
         """Every agent's observation of its cell's powers, beams, users:
@@ -92,5 +91,4 @@ class Environment:
                                  cfg.interference_threshold_mw,
                                  cfg.punishment).tolist()
         self.offsets = self.users.offsets(self.layout)
-        self.sinr_history.append(gammas)
         return StepResult(table, gammas, estimates, rewards)

@@ -53,9 +53,11 @@ class MetricsLog:
         self.sumrate_rows.append((episode, float(sum_rate)))
 
 
-def network_sum_rate(sinrs: np.ndarray) -> float:
-    """Sum of log2(1 + SINR) over every user in the network."""
-    return float(np.sum(np.log2(1.0 + np.asarray(sinrs, dtype=float))))
+def network_sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
+    """Sum of log2(1 + SINR) over the trailing (L, U) axes: a float for
+    one network, a (B,) array for a batch of B."""
+    rates = np.log2(1.0 + np.asarray(sinrs, dtype=float)).sum(axis=(-2, -1))
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def sum_rate_metric(log: MetricsLog) -> float:

@@ -25,6 +25,7 @@ from . import control
 from .channel import ChannelSet, Codebook
 from .config import NetworkConfig, db_to_linear
 from .errors import ContractViolation, SearchSpaceError
+from .metrics import network_sum_rate
 from .physics import received_powers, sinr
 
 BRUTE_FORCE_LIMIT = 2 ** 20
@@ -55,8 +56,7 @@ def _sum_rates(channels: ChannelSet, powers_mw: np.ndarray,
                codebook: Codebook) -> np.ndarray:
     """Network sum-rate of each of B configurations: (B, L, U) -> (B,)."""
     table = received_powers(channels, powers_mw, beams, codebook)
-    rates = np.log2(1.0 + sinr(table, config.noise_mw))
-    return rates.reshape(len(rates), -1).sum(axis=1)
+    return network_sum_rate(sinr(table, config.noise_mw))
 
 
 def _best_combination(channels: ChannelSet, cell_powers_mw: np.ndarray,

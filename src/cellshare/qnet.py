@@ -15,8 +15,7 @@ builds two next to its stacks, one for the learners' minibatches and one
 for the acting pass (one row per agent), and passes them to each
 ``train_step`` and ``select_action``, which then allocate no
 activation, delta or gradient of their own; the run owns them, a
-``QNetwork`` never holds one. Called without one, ``train_step`` makes
-one for the call. ``forward_batch``, ``td_targets`` and
+``QNetwork`` never holds one. ``forward_batch``, ``td_targets`` and
 ``loss_and_gradients`` run the same kernels in a workspace made for
 their call, so what they return belongs to the caller.
 """
@@ -252,15 +251,13 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork,
 def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
                actions: np.ndarray, rewards: np.ndarray,
                next_states: np.ndarray, alpha: float, eta: float,
-               workspace: Workspace | None = None):
+               workspace: Workspace):
     """One SGD step in place, theta <- theta - eta * grad; returns the
     pre-update loss (per agent). A non-finite loss raises TrainingFault;
     its ``agent`` is the first such agent, and the agents before it have
     stepped, as if each had stepped alone in turn. ``workspace`` holds
-    the step's arrays (one is made for the call if none is given)."""
+    the step's arrays."""
     x = _rows(net, states)
-    if workspace is None:
-        workspace = Workspace(net, x.shape[-2])
     loss = _loss(net, target_net, x, actions, rewards, next_states, alpha,
                  workspace)
     bad = np.flatnonzero(~np.isfinite(loss))

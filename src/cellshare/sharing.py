@@ -29,6 +29,7 @@ comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,8 +63,9 @@ class OverheadLedger:
         self.scalars_total += sum(scalars)
 
     def zero_share_fraction(self) -> float:
+        """Share of rows that sent nothing; NaN for an empty ledger."""
         if not self.rows:
-            raise ContractViolation("ledger is empty")
+            return math.nan
         zero = sum(1 for row in self.rows if row[2] == 0 and row[3] == 0)
         return zero / len(self.rows)
 
@@ -123,10 +125,7 @@ def crdu_reward(cell_rewards: Sequence[float], punishment: float) -> float:
         raise ContractViolation("need at least one cell reward")
     if any(r == -punishment for r in rewards):
         return -float(punishment)
-    out = 1.0
-    for r in rewards:
-        out *= r
-    return out
+    return math.prod(rewards)
 
 
 def ctde_sync(central: QNetwork, agents: QNetwork) -> int:

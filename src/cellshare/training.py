@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,13 +55,9 @@ def _log_step(log: MetricsLog, episode: int, t: int, rewards: Sequence[float],
         in enumerate(zip(rewards, losses, sent, received)))
 
 
-def _log_episode(log: MetricsLog, episode: int,
-                 step_sinrs: List[np.ndarray], mode: str) -> None:
-    if mode == "mean":
-        rate = float(np.mean([network_sum_rate(g) for g in step_sinrs]))
-    else:
-        rate = network_sum_rate(step_sinrs[-1])
-    log.add_episode(episode, step_sinrs[-1], rate)
+def _log_episode(log: MetricsLog, episode: int, sinrs: np.ndarray) -> None:
+    """Log an episode from its last step's (L, U) SINRs."""
+    log.add_episode(episode, sinrs, network_sum_rate(sinrs))
 
 
 def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
@@ -184,7 +180,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                           sent.tolist(), received)
                 states = next_states
 
-            _log_episode(log, episode, env.sinr_history, tr_cfg.sumrate_mode)
+            _log_episode(log, episode, result.sinr)
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
         # an SGD step stops after the learners before the faulty agent
@@ -215,6 +211,5 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
                                             dummy_rngs, acting))
             _log_step(log, episode, t, result.rewards, [math.nan] * L, 0.0,
                       [0] * L, [0] * L)
-        _log_episode(log, episode, env.sinr_history,
-                     cfg.training.sumrate_mode)
+        _log_episode(log, episode, result.sinr)
     return log

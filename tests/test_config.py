@@ -41,7 +41,6 @@ def test_documented_defaults_frozen():
             "buffer_capacity": 10000, "epsilon_start": 1.0,
             "epsilon_decay": 0.99, "epsilon_min": 0.05,
             "target_refresh_steps": 1, "eval_episodes": 20,
-            "sumrate_mode": "final",
         },
         "sharing": {"attribution": "measured", "ctde_sync_period": 1},
         "oracle": {"power_step_db": 3.0},
@@ -92,18 +91,26 @@ def test_parse_errors_are_line_precise():
 
 
 def test_nan_values_and_unbounded_noise_are_rejected():
-    # NaN fails every comparison, so a range check alone lets it through
+    # NaN fails every comparison and inf passes most range checks, so a
+    # range check alone lets either through
     floats = [(section, key) for section, keys in _SCHEMA.items()
               for key, (_attr, conv) in keys.items() if conv is float]
-    assert ("network", "min_sinr_db") in floats
+    unbounded = [("network", "min_sinr_db"),
+                 ("network", "interference_threshold_dbm")]
+    assert set(unbounded) < set(floats)
     for section, key in floats:
         with pytest.raises(ConfigError, match="line 3: %s " % key):
             parse_config("[%s]\n\n%s = nan\n" % (section, key))
-    for value in ("inf", "-inf"):
-        with pytest.raises(ConfigError,
-                           match="line 2: noise_power_dbm must be finite"):
-            parse_config("[network]\nnoise_power_dbm = %s\n" % value)
+        if (section, key) in unbounded:
+            continue
+        for value in ("inf", "-inf"):
+            with pytest.raises(ConfigError,
+                               match="line 2: %s must be finite" % key):
+                parse_config("[%s]\n%s = %s\n" % (section, key, value))
     # an unbounded SINR floor or interference threshold is a valid policy
+    for value in ("inf", "-inf"):
+        parse_config("[network]\nmin_sinr_db = %s\n"
+                     "interference_threshold_dbm = %s\n" % (value, value))
     cfg = parse_config("[network]\nmin_sinr_db = -inf\n"
                        "interference_threshold_dbm = inf\n")
     assert cfg.network.min_sinr == 0.0
@@ -120,7 +127,6 @@ def test_validation_catches_bad_values():
         ("training", "discount", 1.0),
         ("training", "batch_size", 0),
         ("training", "epsilon_decay", 0.0),
-        ("training", "sumrate_mode", "median"),
         ("sharing", "attribution", "oracle"),
         ("oracle", "power_step_db", 0.0),
     ]
@@ -147,7 +153,7 @@ def test_dump_parse_round_trip():
     cfg = default_config()
     cfg.network.cells = 4
     cfg.network.noise_dbm = -120.0
-    cfg.training.sumrate_mode = "mean"
+    cfg.sharing.attribution = "genie"
     again = parse_config(dump_config(cfg))
     assert resolved_dict(again) == resolved_dict(cfg)
 
@@ -196,7 +202,6 @@ def _valid_values(draw):
             "epsilon_min": draw(_floats(0.0, 1.0)),
             "target_refresh_steps": draw(st.integers(1, 10 ** 6)),
             "eval_episodes": draw(st.integers(1, 10 ** 6)),
-            "sumrate_mode": draw(st.sampled_from(("final", "mean"))),
         },
         "sharing": {
             "attribution": draw(st.sampled_from(("measured", "genie"))),

@@ -24,21 +24,21 @@ from cellshare.config import dump_config
 
 # `cellshare compare --seeds 1`: five runs' artifacts plus summary.csv
 COMPARE_DIGEST = \
-    "fe5c5ae3f3f43299e4233d0ca6bc3dc7a8827b9236ec3a51ab6e7fa8d814212d"
+    "fd81f49be1c287d99343a12449647e56bb2eabb6821f62ed971351a2884324e1"
 # `cellshare train --framework smart` with genie attribution
 GENIE_DIGEST = \
-    "7adb2b33e61ea89629d36300e423ccb6470ab96442b7ede8908b2f45a5acd60a"
+    "56a066508cdd80b26c0186f433c7181c6dd293c02dedd6c156a08d59798fed0a"
 # `cellshare train --framework share-all` on three cells
 THREE_CELL_DIGEST = \
-    "e9b1290a6547f1a319924cdb26768cf2d51202e7dfe934a670e11b894c784393"
+    "20d79a43b78b12ba873bb0b277bd80667b45a07ad5fa0eae40dffea81ba0b5e4"
 # the same three-cell run with buffer_capacity = 40, so every replay
 # buffer wraps many times
 WRAPPING_DIGEST = \
-    "b228693daf9ec5a5a1c9eea5b63870336591902a7c3ce1fefa2b3832a53434c3"
+    "b9e65383bd2cc1364d7376f94af54b8bb77cb4a4fd18f7fe96272fce4b8113dc"
 # `cellshare train --framework smart` on seven cells (one hex ring),
 # measured attribution
 SEVEN_CELL_DIGEST = \
-    "72cf8e9fd1361a04af41d4b13e87561e02ec8cf6e991d2ab0c1bddb368eaca0e"
+    "9a946ae3f7f9742799050c9a8fbf141b049947f52d5be4df3ff4f9200fa571de"
 # `cellshare oracle` on two cells with one user each
 ORACLE_DIGEST = \
     "c1d8ace5fc2e80292f20f8468096aa55b4c903754626a24f8c1e8343f2ebe049"

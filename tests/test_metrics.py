@@ -23,15 +23,22 @@ from cellshare.metrics import (
 
 def test_network_sum_rate_hand_values():
     # log2(2) + log2(4) = 3 bits/s/Hz
-    assert network_sum_rate(np.array([1.0, 3.0])) == pytest.approx(3.0)
+    assert network_sum_rate(np.array([[1.0, 3.0]])) == pytest.approx(3.0)
     assert network_sum_rate(np.zeros((2, 3))) == 0.0
     assert network_sum_rate(np.array([[1.0], [1.0]])) == pytest.approx(2.0)
+    # a (B, L, U) batch sums each network as its own call does
+    sinrs = np.random.default_rng(0).exponential(size=(9, 7, 3))
+    batch = network_sum_rate(sinrs)
+    assert batch.shape == (9,)
+    assert batch.tolist() == [network_sum_rate(one) for one in sinrs]
 
 
 def test_sum_rate_metric_averages_episodes():
     log = MetricsLog()
-    log.add_episode(0, np.array([[1.0, 3.0]]), network_sum_rate([1.0, 3.0]))
-    log.add_episode(1, np.array([[0.0, 1.0]]), network_sum_rate([0.0, 1.0]))
+    log.add_episode(0, np.array([[1.0, 3.0]]),
+                    network_sum_rate([[1.0, 3.0]]))
+    log.add_episode(1, np.array([[0.0, 1.0]]),
+                    network_sum_rate([[0.0, 1.0]]))
     assert sum_rate_metric(log) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ContractViolation):
         sum_rate_metric(MetricsLog())

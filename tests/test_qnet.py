@@ -136,7 +136,7 @@ def test_train_step_is_plain_sgd():
     loss_ref, grads = loss_and_gradients(manual, target, *batch, 0.995)
     for name, grad in grads.items():
         getattr(manual, name)[...] -= 0.01 * grad
-    loss = train_step(net, target, *batch, 0.995, 0.01)
+    loss = train_step(net, target, *batch, 0.995, 0.01, Workspace(net, 8))
     assert loss == loss_ref
     assert same_weights(net, manual)
 
@@ -145,7 +145,8 @@ def test_eta_zero_changes_nothing():
     rng = np.random.default_rng(6)
     net = QNetwork(4, 4, hidden=(6, 5), rng=rng)
     before = net.copy()
-    train_step(net, before, *_random_batch(rng, net, 4), 0.995, 0.0)
+    train_step(net, before, *_random_batch(rng, net, 4), 0.995, 0.0,
+               Workspace(net, 4))
     assert same_weights(net, before)
 
 
@@ -154,7 +155,8 @@ def test_train_step_raises_on_nonfinite_loss():
     bad = _row([1.0, 1.0], 0, np.inf, [1.0, 1.0])
     with np.errstate(invalid="ignore"):
         with pytest.raises(TrainingFault):
-            train_step(net, net.copy(), *bad, 0.995, 0.01)
+            train_step(net, net.copy(), *bad, 0.995, 0.01,
+                       Workspace(net, 1))
 
 
 def _one_agent(state, net, epsilon, rng):
@@ -244,12 +246,15 @@ def test_stacked_forward_and_gradients_equal_per_agent_calls(case):
 @given(_stacks)
 def test_stacked_train_step_equals_per_agent_steps(case):
     nets, targets, batches, stacked = _stack_case(*case)
+    size = case[4]
     net, target = QNetwork.stack(nets), QNetwork.stack(targets)
     views = [net[k] for k in range(len(nets))]
-    losses = train_step(net, target, *stacked, 0.9, 0.05)
+    losses = train_step(net, target, *stacked, 0.9, 0.05,
+                        Workspace(net, size))
     for k, (one, one_target, batch) in enumerate(
             zip(nets, targets, batches)):
-        assert losses[k] == train_step(one, one_target, *batch, 0.9, 0.05)
+        assert losses[k] == train_step(one, one_target, *batch, 0.9, 0.05,
+                                       Workspace(one, size))
         assert same_weights(net[k], one)
         # views taken before the step see the stack's update
         assert same_weights(views[k], one)
@@ -266,10 +271,11 @@ def test_stacked_train_step_stops_at_the_first_bad_agent():
         with pytest.raises(TrainingFault,
                            match="non-finite training loss inf") as info:
             train_step(net, target, stacked[0], stacked[1], rewards,
-                       stacked[3], 0.9, 0.05)
+                       stacked[3], 0.9, 0.05, Workspace(net, 4))
     assert info.value.agent == 1
     # agent 0 stepped as it would alone; agents 1 and 2 did not
-    train_step(nets[0], targets[0], *(c[0] for c in stacked), 0.9, 0.05)
+    train_step(nets[0], targets[0], *(c[0] for c in stacked), 0.9, 0.05,
+               Workspace(nets[0], 4))
     assert same_weights(net[0], nets[0])
     assert same_weights(net[1:], before[1:])
 
@@ -302,7 +308,8 @@ def test_one_workspace_through_consecutive_steps(case, fault_at):
         else:
             losses = train_step(net, target, *stacked, 0.9, 0.05, workspace)
         for k in range(stepped):
-            loss = train_step(nets[k], targets[k], *batches[k], 0.9, 0.05)
+            loss = train_step(nets[k], targets[k], *batches[k], 0.9, 0.05,
+                              Workspace(nets[k], size))
             assert call == fault_at or losses[k] == loss
         for k in range(agents):
             assert same_weights(net[k], nets[k])

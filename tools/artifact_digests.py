@@ -17,14 +17,23 @@ package error (with the partial artifacts a ``TrainingFault`` carries).
 Oracle cases hash ``evaluate_configuration`` on random configurations,
 ``brute_force_step`` and ``global_csi_search`` on a few frozen
 snapshots; one more case hashes ``build_layout`` for 1 to 127 cells.
-BLAS runs on one thread, as in the benchmark.
+CLI cases run ``cellshare train`` (a normal and a diverging run),
+``compare`` (two frameworks, one of which diverges), ``oracle`` and
+``ccdf`` in process. Each hashes the exit code, stderr and every file
+the command writes, with ``run.json``'s ``config`` object dropped, so a
+change that adds or removes a config key can show that no other byte
+moved. BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -34,7 +43,7 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from cellshare import control, oracle, sharing  # noqa: E402
+from cellshare import cli, control, oracle, sharing  # noqa: E402
 from cellshare.channel import (beam_codebook, matched_beams,  # noqa: E402
                                sample_channels)
 from cellshare.config import default_config  # noqa: E402
@@ -46,6 +55,37 @@ CELLS = (2, 3, 7, 19)
 ATTRIBUTIONS = ("measured", "genie")
 CAPACITIES = (50, 10000)
 DIVERGING_RATE = 1e15
+# run_config's scenario as a config file; at learning rate 1 and seed 5
+# the compare case's smart run diverges and its share-all run completes
+CLI_TRAIN_CONFIG = """\
+[network]
+antennas = 4
+codebook_bits = 6
+noise_power_dbm = -120
+step_duration_s = 1e-4
+max_bs_power_dbm = 14
+
+[training]
+episodes = 3
+steps_per_episode = 12
+batch_size = 16
+target_refresh_steps = 5
+eval_episodes = 1
+learning_rate = %r
+
+[sharing]
+ctde_sync_period = 2
+"""
+# 2 cells x 2 users, 5 power levels x 2 beams: 10**4 configurations
+CLI_ORACLE_CONFIG = """\
+[network]
+users_per_cell = 2
+antennas = 2
+codebook_bits = 1
+
+[oracle]
+power_step_db = 10
+"""
 
 
 def _update(h, value) -> None:
@@ -197,6 +237,68 @@ def oracle_cases():
         yield "oracle/global/L%dU%dM%db%d" % (L, U, M, bits), h.hexdigest()
 
 
+def _written(h, out: str) -> None:
+    """Feed every file under ``out`` (or the file ``out``) to ``h`` in
+    path order, each ``run.json`` without its ``config`` object."""
+    paths = [out] if os.path.isfile(out) else sorted(
+        os.path.join(folder, name) for folder, _dirs, names in os.walk(out)
+        for name in names)
+    for path in paths:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if os.path.basename(path) == "run.json":
+            info = json.loads(data)
+            del info["config"]
+            data = json.dumps(info, indent=2, sort_keys=True).encode()
+        _update(h, os.path.relpath(path, os.path.dirname(out)))
+        _update(h, data)
+
+
+def cli_case(tmp: str, argv, out: str) -> str:
+    h = hashlib.sha256()
+    stderr = io.StringIO()
+    # a diverging run overflows on its way to the fault it reports
+    with contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+        code = cli.main(argv)
+    _update(h, code)
+    _update(h, stderr.getvalue().replace(tmp, "<tmp>"))
+    _written(h, out)
+    return h.hexdigest()
+
+
+def cli_cases():
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return os.path.join(tmp, name)
+
+        configs = {}
+        for name, text in (("ok", CLI_TRAIN_CONFIG % 0.01),
+                           ("diverging", CLI_TRAIN_CONFIG % DIVERGING_RATE),
+                           ("compare", CLI_TRAIN_CONFIG % 1.0),
+                           ("oracle", CLI_ORACLE_CONFIG)):
+            configs[name] = path(name + ".cfg")
+            with open(configs[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for name in ("ok", "diverging"):
+            out = path("train-" + name)
+            yield "cli/train/" + name, cli_case(
+                tmp, ["train", "--config", configs[name], "--framework",
+                      "smart", "--seed", "3", "--out", out], out)
+        out = path("compare")
+        yield "cli/compare", cli_case(
+            tmp, ["compare", "--config", configs["compare"], "--frameworks",
+                  "smart,share-all", "--seeds", "1", "--seed", "5",
+                  "--out", out], out)
+        out = path("oracle.csv")
+        yield "cli/oracle", cli_case(
+            tmp, ["oracle", "--config", configs["oracle"], "--seed", "4",
+                  "--out", out], out)
+        out = path("ccdf.csv")
+        yield "cli/ccdf", cli_case(
+            tmp, ["ccdf", "--in", path("train-ok/sinr_samples.csv"),
+                  "--out", out], out)
+
+
 def layout_case():
     h = hashlib.sha256()
     for cells in range(1, 128):
@@ -207,7 +309,8 @@ def layout_case():
 
 def main() -> int:
     total = hashlib.sha256()
-    for cases in (layout_case(), oracle_cases(), training_cases()):
+    for cases in (layout_case(), oracle_cases(), training_cases(),
+                  cli_cases()):
         for name, digest in cases:
             line = "%s %s" % (name, digest)
             total.update(line.encode() + b"\n")
