@@ -1,10 +1,10 @@
 """Beamforming codebook and the geometric multipath channel.
 
 The codebook holds 2**r constant-modulus steering vectors whose
-generator phases sweep [0, pi] in equal steps, ordered so that moving to
+generator phase sweeps [0, pi] in equal steps, ordered so that moving to
 index +-1 moves to the adjacent beam. A codebook depends only on
-(antennas, bits), so each one is built once and shared: its arrays are
-read-only, and a caller who needs a changed codebook must copy them
+(antennas, bits), so each one is built once and shared: its vectors
+are read-only, and a caller who needs a changed codebook must copy them
 first. Channels follow a multipath ray model with log-distance path
 loss (``path_loss_gain``, elementwise over distances) and first-order
 autoregressive fading whose correlation comes from the Jakes model at
@@ -37,7 +37,6 @@ MIN_PATHLOSS_DISTANCE = 10.0
 @dataclass(frozen=True)
 class Codebook:
     vectors: np.ndarray  # (2**r, M) complex, rows are beams
-    phases: np.ndarray   # (2**r,) generator phase of each beam
 
     @property
     def size(self) -> int:
@@ -101,7 +100,7 @@ def beam_codebook(antennas: int, bits: int) -> Codebook:
     10x5 among them) keep a one-ulp error that the search of
     ``_snap_modulus`` cannot remove.
     Built once per (antennas, bits) and shared by every caller, so
-    vectors and phases are read-only; copy them before changing them.
+    its vectors are read-only; copy them before changing them.
     """
     antennas = operator.index(antennas)
     bits = operator.index(bits)
@@ -119,9 +118,7 @@ def _build_codebook(antennas: int, bits: int) -> Codebook:
     target = 1.0 / math.sqrt(antennas)
     x = np.empty((n_beams, antennas), dtype=float)
     y = np.empty((n_beams, antennas), dtype=float)
-    phases = np.empty(n_beams, dtype=float)
     for n in range(n_beams):
-        phases[n] = n * math.pi / q
         for m in range(antennas):
             # reduce the integer phase index first so large m*n keep
             # full precision: angle = pi * (m*n mod 2q) / q
@@ -131,8 +128,7 @@ def _build_codebook(antennas: int, bits: int) -> Codebook:
             y[n, m] = target * math.sin(ang)
     vectors = _snap_modulus(x, y, target)
     vectors.flags.writeable = False
-    phases.flags.writeable = False
-    return Codebook(vectors=vectors, phases=phases)
+    return Codebook(vectors=vectors)
 
 
 def matched_beams(channels: "ChannelSet", codebook: Codebook) -> np.ndarray:

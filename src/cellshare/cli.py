@@ -40,11 +40,16 @@ ORACLE_FIXED_COLUMNS = ("sum_rate",)
 def _resolve_seed(cli_seed: int) -> Tuple[int, bool]:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return cli_seed, False
-    try:
-        return int(raw), True
-    except ValueError:
-        raise ConfigError("%s=%r is not an integer" % (SEED_ENV_VAR, raw))
+        source, seed = "--seed", cli_seed
+    else:
+        source = SEED_ENV_VAR
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError("%s=%r is not an integer" % (SEED_ENV_VAR, raw))
+    if seed < 0:
+        raise ConfigError("%s must be >= 0, got %d" % (source, seed))
+    return seed, raw is not None
 
 
 def _load(config_path: Optional[str]) -> RunConfig:

@@ -15,9 +15,13 @@ builds two next to its stacks, one for the learners' minibatches and one
 for the acting pass (one row per agent), and passes them to each
 ``train_step`` and ``select_action``, which then allocate no
 activation, delta or gradient of their own; the run owns them, a
-``QNetwork`` never holds one. ``forward_batch``, ``td_targets`` and
-``loss_and_gradients`` run the same kernels in a workspace made for
-their call, so what they return belongs to the caller.
+``QNetwork`` never holds one. ``q_forward`` and ``loss_and_gradients``,
+the reference passes the tests check against, run the same kernels in a
+workspace made for their call, so what they return belongs to the
+caller.
+
+A stacked step is all-or-nothing: if any agent's loss is non-finite,
+``train_step`` raises before the backward pass and no weight changes.
 """
 
 from __future__ import annotations
@@ -162,28 +166,18 @@ def _forward(net: QNetwork, x: np.ndarray, ws: Workspace) -> np.ndarray:
     return _dense(a2, net.w3, net.b3, q, spreads[2])
 
 
-def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
+def q_forward(net: QNetwork, x) -> np.ndarray:
     """Q-values of (B, input_size) rows, or of (K, B, input_size) rows
-    for a K-agent stack."""
+    for a K-agent stack; a single state counts as one row."""
     x = _rows(net, x)
     return _forward(net, x, Workspace(net, x.shape[-2]))
 
 
-def q_forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
-    """Q-values of a single state, shape (output_size,)."""
-    return forward_batch(net, state)[0]
-
-
 def _targets(q_next: np.ndarray, rewards: np.ndarray,
              alpha: float) -> np.ndarray:
-    return rewards + alpha * q_next.max(axis=-1)
-
-
-def td_targets(target_net: QNetwork, rewards: np.ndarray,
-               next_states: np.ndarray, alpha: float) -> np.ndarray:
     """Bootstrapped targets. Episodes are fixed length, so every
     transition bootstraps (no terminal cutoff)."""
-    return _targets(forward_batch(target_net, next_states), rewards, alpha)
+    return rewards + alpha * q_next.max(axis=-1)
 
 
 def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
@@ -253,23 +247,19 @@ def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
                next_states: np.ndarray, alpha: float, eta: float,
                workspace: Workspace):
     """One SGD step in place, theta <- theta - eta * grad; returns the
-    pre-update loss (per agent). A non-finite loss raises TrainingFault;
-    its ``agent`` is the first such agent, and the agents before it have
-    stepped, as if each had stepped alone in turn. ``workspace`` holds
-    the step's arrays."""
+    pre-update loss (per agent). If any agent's loss is non-finite, it
+    raises TrainingFault (naming the first such loss) before the backward
+    pass, and no agent steps. ``workspace`` holds the step's arrays."""
     x = _rows(net, states)
     loss = _loss(net, target_net, x, actions, rewards, next_states, alpha,
                  workspace)
     bad = np.flatnonzero(~np.isfinite(loss))
-    stepped = slice(bad[0]) if len(bad) else slice(None)
+    if len(bad):
+        raise TrainingFault("non-finite training loss %r"
+                            % float(np.ravel(loss)[bad[0]]))
     for name, grad in _gradients(net, x, workspace):
         grad *= eta
-        getattr(net, name)[stepped] -= grad[stepped]
-    if len(bad):
-        fault = TrainingFault("non-finite training loss %r"
-                              % float(np.ravel(loss)[bad[0]]))
-        fault.agent = int(bad[0])
-        raise fault
+        getattr(net, name)[...] -= grad
     return loss
 
 

@@ -1,7 +1,7 @@
 """Training orchestration: episodes, the act/share/train step loop,
 greedy evaluation rollouts and run artifacts.
 
-Every step has three strictly ordered phases: the agents' stacked
+Every step has three strictly ordered stages: the agents' stacked
 network acts for all cells, then each cell's transition is stored once
 in the run's ``TransitionTable`` (its buffer takes one id per user), the
 share rule's (sender, user, receiver) mask of experiences is delivered
@@ -12,7 +12,9 @@ in the run's one ``qnet.Workspace``. What differs between frameworks
 (own or common training reward, the share rule, the learners) comes
 from ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the
 step's share mask and that row. The environment advance is
-``Environment.step``.
+``Environment.step``. A non-finite loss ends the run with a
+``TrainingFault`` carrying the partial artifacts; its step changed no
+weight and is not counted in ``train_step_count``.
 """
 
 from __future__ import annotations
@@ -183,9 +185,8 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
             _log_episode(log, episode, result.sinr)
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
-        # an SGD step stops after the learners before the faulty agent
-        artifacts.train_step_count += getattr(fault, "agent", 0)
-        raise TrainingFault(str(fault), artifacts=artifacts) from fault
+        fault.artifacts = artifacts
+        raise
 
     artifacts.final_epsilon = epsilon
     return artifacts

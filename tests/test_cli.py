@@ -113,6 +113,27 @@ def test_env_variable_overrides_seed(tmp_path, monkeypatch):
                  str(tmp_path / "bad")]) == EXIT_CONFIG
 
 
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
+    conf = _config_file(tmp_path, small_run_config())
+    out = tmp_path / "out"
+    commands = (["train", "--config", conf, "--out", str(out)],
+                ["compare", "--config", conf, "--frameworks", "smart",
+                 "--seeds", "1", "--out", str(out)],
+                ["oracle", "--config", _config_file(tmp_path, tiny_config(),
+                                                    "oracle.conf"),
+                 "--out", str(out)])
+    for argv in commands:
+        assert main(argv + ["--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: --seed must be >= 0, got -1" \
+            in capsys.readouterr().err
+    monkeypatch.setenv(SEED_ENV_VAR, "-3")
+    for argv in commands:
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: %s must be >= 0, got -3" % SEED_ENV_VAR \
+            in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_training_fault_exits_runtime_with_partial_artifacts(tmp_path,
                                                              capsys):
     cfg = small_run_config(learning_rate=1e15)

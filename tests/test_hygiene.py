@@ -1,5 +1,6 @@
 """Source hygiene that needs no linter: every imported name is used, and
-every public name in ``src/`` is read by ``src/`` or ``perfbench/``."""
+every public name in ``src/`` (a class's methods, properties and
+dataclass fields included) is read by ``src/`` or ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -44,21 +45,39 @@ def test_no_unused_imports():
 # Public names kept although nothing in src/ or perfbench/ reads them.
 KEEP_UNREAD = {
     "sum_rate_metric": "the quantity criterion 9 checks",
-    "q_forward": "criterion 07's greedy reference",
+    "q_forward": "criterion 08's greedy reference",
     "loss_and_gradients": "criterion 03's gradient check",
-    "td_targets": "the bootstrap target the tests check by hand",
+    "central_net": "ctde's learner, inspected by tests and artifact_digests",
 }
 
 
+def _is_dataclass(node):
+    """Whether a class is decorated ``@dataclass`` or ``@dataclass(...)``
+    (plain or through the module)."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in decorators)
+
+
 def public_names(path):
-    """(line, name) of each public module-level function, class or
-    constant ``path`` defines, and of each public method of its
-    classes."""
+    """(line, name, member) of each public module-level function, class
+    or constant ``path`` defines (``member`` false), and of each public
+    method, property and dataclass field of its classes (``member``
+    true). NamedTuple fields are left out: the CSV writers read them by
+    position."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, ast.ClassDef):
-            yield from ((item.lineno, item.name) for item in node.body
-                        if isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_"))
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name) \
+                        and _is_dataclass(node):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield item.lineno, name, True
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -71,32 +90,41 @@ def public_names(path):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield node.lineno, name
+                yield node.lineno, name, False
 
 
 def names_read(path):
-    """Every name ``path`` loads, reads as an attribute or imports."""
-    read = set()
+    """(names, attributes): every name ``path`` loads or imports, and
+    every name it reads as an attribute."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names)
-    return read
+            names.update(alias.name for alias in node.names)
+    return names, attributes
 
 
 def test_no_unread_public_names():
     """Library code only tests reach should go. A read in the defining
-    module counts: a public helper its own module calls is in use."""
+    module counts: a public helper its own module calls is in use. A
+    method, property or dataclass field counts as read only when read as
+    an attribute: a local variable of the same name does not use it."""
     sources = sorted((ROOT / "src").rglob("*.py"))
-    read = set().union(*(names_read(path) for path in
-                         sources + sorted((ROOT / "perfbench").glob("*.py"))))
+    names, attributes = set(), set()
+    for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        path_names, path_attributes = names_read(path)
+        names |= path_names
+        attributes |= path_attributes
     found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
-             for path in sources for line, name in public_names(path)
-             if name not in read and name not in KEEP_UNREAD]
+             for path in sources
+             for line, name, member in public_names(path)
+             if name not in attributes
+             and (member or name not in names)
+             and name not in KEEP_UNREAD]
     assert not found, "public but never read in src/ or perfbench/:\n" \
         + "\n".join(found)
-    stale = sorted(set(KEEP_UNREAD) & read)
+    stale = sorted(set(KEEP_UNREAD) & (names | attributes))
     assert not stale, "kept as unread but read: %s" % ", ".join(stale)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_weights, small_run_config
+from conftest import desk_config, same_weights, small_run_config
 
 from cellshare import sharing, training
 from cellshare.environment import Environment
@@ -296,6 +296,48 @@ def test_training_fault_carries_partial_artifacts():
     assert isinstance(artifacts, RunArtifacts)
     assert artifacts.framework == "share-nothing"
     assert len(artifacts.log.step_rows) > 0
+
+
+def _steps_and_logged_steps(cfg, framework, seed):
+    """A run's ``train_step_count`` (of its partial artifacts, if it
+    faults) and the number of its steps that logged a loss."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            artifacts = run_training(cfg, framework, seed)
+    except TrainingFault as fault:
+        artifacts = fault.artifacts
+    logged = {(row.episode, row.step) for row in artifacts.log.step_rows
+              if math.isfinite(row.loss)}
+    return artifacts.train_step_count, len(logged)
+
+
+def _digest_cli_config():
+    """tools/artifact_digests.py's CLI scenario at a diverging rate."""
+    cfg = desk_config()
+    cfg.training.episodes = 3
+    cfg.training.steps_per_episode = 12
+    cfg.training.batch_size = 16
+    cfg.training.target_refresh_steps = 5
+    cfg.training.learning_rate = 1e15
+    return cfg
+
+
+@pytest.mark.parametrize("framework", sharing.FRAMEWORKS)
+def test_train_step_count_counts_logged_learner_steps(framework):
+    """Every counted learner step logged its loss, whether the run
+    completes or a faulting step (which steps no learner) ends it."""
+    cfg = small_run_config()
+    learners = 1 if sharing.BEHAVIOUR[framework].central \
+        else cfg.network.cells
+    for run_cfg in (cfg, small_run_config(learning_rate=1e15)):
+        count, logged = _steps_and_logged_steps(run_cfg, framework, 12)
+        assert logged > 0
+        assert count == learners * logged
+    if framework == "smart":
+        # two steps log their losses, then agent 1's alone goes
+        # non-finite: agent 0 does not step either
+        assert _steps_and_logged_steps(_digest_cli_config(), framework,
+                                       3) == (2 * 2, 2)
 
 
 def test_evaluate_is_greedy_and_deterministic():
