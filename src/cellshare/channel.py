@@ -11,6 +11,12 @@ autoregressive fading whose correlation comes from the Jakes model at
 the configured speed. Departure angles are fixed for an episode, so each
 path's steering vector is built once, at the fresh draw, and every later
 step of the episode reuses it.
+
+The Jakes coefficient J0(2*pi*f_d*T) comes from ``_j0``, an in-package
+port of Cephes ``j0`` (rational form up to 5, Hankel modulus and phase
+above). It keeps Cephes' coefficients and order of operations, and
+plain Python floats never fuse a multiply-add, so every value equals
+SciPy's ``special.j0`` bit for bit and the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.special import j0
 
 from .config import NetworkConfig
 from .errors import ContractViolation
@@ -32,6 +36,8 @@ from .geometry import CellLayout, UserSet
 # close-in clamp before the path-loss law; matches the usual 10 m
 # minimum BS-UE distance of street-canyon deployment models
 MIN_PATHLOSS_DISTANCE = 10.0
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,81 @@ def path_loss_gain(distance: float | np.ndarray,
         ** (-config.pathloss_exponent)
 
 
-def doppler_correlation(config: NetworkConfig) -> float:
-    """Jakes AR(1) coefficient for one control interval."""
+def doppler_phase(config: NetworkConfig) -> float:
+    """2*pi*f_d*T: the Doppler phase of one control interval, with
+    f_d = v*f_c/c. Config validation refuses a config that makes it
+    overflow."""
     doppler = config.ue_speed * config.carrier_freq / SPEED_OF_LIGHT
-    return float(j0(2.0 * math.pi * doppler * config.step_duration))
+    return 2.0 * math.pi * doppler * config.step_duration
+
+
+def doppler_correlation(config: NetworkConfig) -> float:
+    """Jakes AR(1) coefficient J0(2*pi*f_d*T) for one control interval.
+
+    J0 is ``_j0``, a port of Cephes ``j0``, the routine SciPy's
+    ``special.j0`` runs: the rational form up to 5, the Hankel modulus
+    and phase above it. Plain Python floats never fuse a multiply-add,
+    so the value equals SciPy's to the last bit.
+    """
+    return _j0(doppler_phase(config))
+
+
+# Cephes j0 coefficients. The tables of p1evl (monic polynomials) carry
+# their leading 1.0 here, so one Horner loop evaluates both kinds.
+_J0_DR1 = 5.78318596294678452118e0   # first zero of J0, squared
+_J0_DR2 = 3.04712623436620863991e1   # second zero of J0, squared
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12,
+          -2.49248344360967716204e14, 9.70862251047306323952e15)
+_J0_RQ = (1.0, 4.99563147152651017219e2, 1.73785401676374683123e5,
+          4.84409658339962045305e7, 1.11855537045356834862e10,
+          2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2,
+          1.23953371646414299388e0, 5.44725003058768775090e0,
+          8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2,
+          1.25352743901058953537e0, 5.47097740330417105182e0,
+          8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0,
+          -1.95539544257735972385e1, -9.32060152123768231369e1,
+          -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2,
+          3.88240183605401609683e3, 7.24046774195652478189e3,
+          5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+_SQRT_2_OVER_PI = 7.9788456080286535587989e-1
+
+
+def _polevl(x: float, coefs: tuple) -> float:
+    """Horner evaluation, highest power first (Cephes polevl/p1evl)."""
+    ans = coefs[0]
+    for coef in coefs[1:]:
+        ans = ans * x + coef
+    return ans
+
+
+def _j0(x: float) -> float:
+    """Bessel J0 of a finite float, with Cephes' coefficients and order
+    of operations. Up to 5: (z - DR1)(z - DR2) RP(z)/RQ(z) in z = x*x,
+    or 1 - z/4 below 1e-5. Above 5: the modulus PP/PQ and phase QP/QQ
+    in 25/x**2."""
+    x = abs(x)
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        return p * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ)
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+    xn = x - math.pi / 4.0
+    p = p * math.cos(xn) - w * q * math.sin(xn)
+    return p * _SQRT_2_OVER_PI / math.sqrt(x)
 
 
 @dataclass

@@ -137,10 +137,14 @@ def cmd_compare(args) -> int:
     base_seed, overridden = _resolve_seed(args.seed)
     frameworks = [name.strip() for name in args.frameworks.split(",")
                   if name.strip()]
-    for name in frameworks:
+    if not frameworks:
+        raise ConfigError("--frameworks must name at least one framework")
+    for i, name in enumerate(frameworks):
         if name not in sharing.FRAMEWORKS:
             raise ConfigError("unknown framework %r (expected one of %s)"
                               % (name, ", ".join(sharing.FRAMEWORKS)))
+        if name in frameworks[:i]:
+            raise ConfigError("--frameworks lists %r twice" % name)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
 

@@ -237,6 +237,13 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
           "ue_speed_mps must be non-negative")
     check("network", "step_duration_s", net.step_duration > 0,
           "step_duration_s must be positive")
+    # finite factors can still overflow together; name the one set last
+    from .channel import doppler_phase  # channel imports this module
+    last = max(("ue_speed_mps", "carrier_freq_hz", "step_duration_s"),
+               key=lambda key: (lines or {}).get(("network", key), 0))
+    check("network", last, math.isfinite(doppler_phase(net)),
+          "ue_speed_mps * carrier_freq_hz * step_duration_s overflows the "
+          "Doppler phase 2*pi*v*f_c*T/c")
     check("network", "pathloss_exponent", net.pathloss_exponent > 0,
           "pathloss_exponent must be positive")
     check("network", "paths", net.paths >= 1, "paths must be >= 1")

@@ -1,9 +1,11 @@
 """Shared scenario builders and numeric helpers for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 
 from cellshare.channel import beam_codebook, sample_channels
-from cellshare.config import default_config
+from cellshare.config import default_config, load_config
 from cellshare.geometry import build_layout, spawn_users
 from cellshare.qnet import loss_and_gradients
 
@@ -21,24 +23,10 @@ def pytest_terminal_summary(terminalreporter):
 
 def desk_config():
     """The two-cell, three-user benchmark scenario used by the release
-    checks and the README numbers.
-
-    The scale knobs the defaults leave open are pinned here: a small
-    array with a deep codebook keeps one beam-index step well inside a
-    lobe width, the low noise floor keeps cells interference limited
-    (which also bounds the product reward, so the common-reward variant
-    trains without blowing up), the short control interval keeps fading
-    nearly frozen within an episode, and the 14 dBm budget puts the
-    zero-share fraction of the gated framework inside its target band.
-    """
-    cfg = default_config()
-    cfg.network.antennas = 4
-    cfg.network.codebook_bits = 6
-    cfg.network.noise_dbm = -120.0
-    cfg.network.step_duration = 1e-4
-    cfg.network.max_bs_power_dbm = 14.0
-    cfg.training.target_refresh_steps = 25
-    return cfg
+    checks and the README numbers, loaded from ``configs/desk.conf``
+    (whose comments say why each value is pinned)."""
+    return load_config(str(Path(__file__).resolve().parent.parent
+                           / "configs" / "desk.conf"))
 
 
 def tiny_config():

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import random_snapshot
 
-from cellshare.channel import (ChannelSet, beam_codebook, doppler_correlation,
-                               matched_beams, path_loss_gain, sample_channels)
+from cellshare.channel import (ChannelSet, _j0, beam_codebook,
+                               doppler_correlation, matched_beams,
+                               path_loss_gain, sample_channels)
 from cellshare.config import default_config
 from cellshare.errors import ContractViolation
 from cellshare.geometry import build_layout, spawn_users
@@ -101,14 +102,50 @@ def test_path_loss_reference_and_exponent():
 
 
 def test_doppler_correlation_values():
+    # exact bits of scipy.special.j0 (SciPy 1.17.1) at the same phase
     net = default_config().network
-    assert doppler_correlation(net) == pytest.approx(
-        0.9735617170119774, rel=1e-12)
+    assert doppler_correlation(net).hex() == "0x1.f276ae6e68793p-1"
     net.step_duration = 1e-4
-    assert doppler_correlation(net) == pytest.approx(
-        0.9997338692311935, rel=1e-12)
+    assert doppler_correlation(net).hex() == "0x1.ffdd1e221a606p-1"
     net.ue_speed = 0.0
     assert doppler_correlation(net) == 1.0
+
+
+# x -> scipy.special.j0(x).hex() (SciPy 1.17.1): both sides of the
+# 1e-5 and x = 5 branch points, the first zero, and the asymptotic form
+J0_PINNED = {
+    0.0: "0x1.0000000000000p+0",
+    1e-6: "0x1.ffffffffff734p-1",
+    2.404825557695773: "-0x1.ba1deea029494p-54",
+    5.0: "-0x1.6bb7db255cb89p-3",
+    math.nextafter(5.0, 6.0): "-0x1.6bb7db255cb80p-3",
+    30.0: "-0x1.61c3650e6eba4p-4",
+    1e3: "0x1.961ae599a7b12p-6",
+}
+
+
+def test_j0_pinned_values():
+    for x, bits in J0_PINNED.items():
+        assert _j0(x).hex() == bits, x
+        assert _j0(-x).hex() == bits, -x  # J0 is even
+
+
+def test_j0_equals_scipy_bit_for_bit():
+    j0 = pytest.importorskip("scipy.special").j0
+    rng = np.random.default_rng(19)
+    n = 100_000
+    branches = {
+        "below 1e-5": rng.uniform(0.0, 1e-5, n),
+        "rational, up to 5": rng.uniform(1e-5, 5.0, n),
+        "asymptotic, above 5": np.concatenate([
+            np.nextafter(5.0, 6.0) + rng.uniform(0.0, 295.0, n // 2),
+            10.0 ** rng.uniform(np.log10(300.0), 8.0, n // 2)]),
+    }
+    for name, xs in branches.items():
+        expected = j0(xs).tolist()
+        bad = [x for x, want in zip(xs.tolist(), expected) if _j0(x) != want]
+        assert not bad, "%s: %d of %d differ, first at %r" % (
+            name, len(bad), len(xs), bad[0])
 
 
 def test_static_users_freeze_the_channel():

@@ -215,6 +215,20 @@ def test_compare_rejects_unknown_framework(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_compare_rejects_empty_and_repeated_frameworks(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    for frameworks, message in ((",", "must name at least one framework"),
+                                (" , ", "must name at least one framework"),
+                                ("smart,smart", "lists 'smart' twice"),
+                                ("crdu,smart, crdu", "lists 'crdu' twice")):
+        code = main(["compare", "--frameworks", frameworks, "--seeds", "1",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: --frameworks " + message \
+            in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_search_snapshot(tmp_path):
     conf = _config_file(tmp_path, tiny_config())
     out = tmp_path / "oracle.csv"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import desk_config
+
 from cellshare.config import (_SCHEMA, db_to_linear, default_config,
                               dump_config, parse_config, resolved_dict,
                               validate_config)
@@ -115,6 +117,35 @@ def test_nan_values_and_unbounded_noise_are_rejected():
                        "interference_threshold_dbm = inf\n")
     assert cfg.network.min_sinr == 0.0
     assert cfg.network.interference_threshold_mw == math.inf
+
+
+def test_overflowing_doppler_phase_is_a_config_error():
+    # each factor is finite, but 2*pi*v*f_c*T/c is not; the line named is
+    # the last of the three keys the file sets
+    text = "[network]\nue_speed_mps = 1e200\ncarrier_freq_hz = 1e200\n"
+    with pytest.raises(ConfigError, match="line 3: .*Doppler phase"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match="line 2: .*Doppler phase"):
+        parse_config("[network]\nue_speed_mps = 1e300\n")
+    with pytest.raises(ConfigError, match="line 4: .*Doppler phase"):
+        parse_config(text + "step_duration_s = 1e300\n")
+    cfg = default_config()
+    cfg.network.step_duration = 1e307
+    with pytest.raises(ConfigError, match="^ue_speed_mps \\* "):
+        validate_config(cfg)
+    # a large but finite phase is accepted
+    parse_config("[network]\nue_speed_mps = 1e150\ncarrier_freq_hz = 1e150\n")
+
+
+def test_desk_conf_is_the_defaults_with_six_overrides():
+    expected = default_config()
+    expected.network.antennas = 4
+    expected.network.codebook_bits = 6
+    expected.network.noise_dbm = -120.0
+    expected.network.step_duration = 1e-4
+    expected.network.max_bs_power_dbm = 14.0
+    expected.training.target_refresh_steps = 25
+    assert desk_config() == expected
 
 
 def test_validation_catches_bad_values():

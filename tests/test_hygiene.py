@@ -1,8 +1,10 @@
-"""Source hygiene that needs no linter: every imported name is used, and
+"""Source hygiene that needs no linter: every imported name is used,
+``src/`` imports nothing beyond numpy and the standard library, and
 every public name in ``src/`` (a class's methods, properties and
 dataclass fields included) is read by ``src/`` or ``perfbench/``."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +42,27 @@ def test_no_unused_imports():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path)]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def top_level_imports(path):
+    """(line, package) of each absolute import in ``path``; a relative
+    import stays inside the package and is left out."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_src_runs_on_numpy_alone():
+    allowed = {"cellshare", "numpy"} | set(sys.stdlib_module_names)
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, package)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, package in top_level_imports(path)
+             if package not in allowed]
+    assert not found, "src/ imports beyond numpy and the standard " \
+        "library:\n" + "\n".join(found)
 
 
 # Public names kept although nothing in src/ or perfbench/ reads them.
