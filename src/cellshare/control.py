@@ -9,9 +9,9 @@ The command, state and reward functions take optional leading axes of
 cells in front of their per-cell arguments, as
 ``physics.received_powers`` takes batch axes: powers, beams and SINRs
 are (..., U), offsets (..., U, 2) and actions (...); states come out as
-(..., 4U) and rewards as (...). Leading axes broadcast, so the oracle
-applies every action to every cell in one call. Each cell's result
-equals the unbatched call on that cell bit for bit.
+(..., 4U), rewards and punished flags as (...). Leading axes broadcast,
+so the oracle applies every action to every cell in one call. Each
+cell's result equals the unbatched call on that cell bit for bit.
 """
 
 from __future__ import annotations
@@ -106,20 +106,19 @@ def state_size(users_per_cell: int) -> int:
 
 def reward(sinrs: np.ndarray, inter_mw: np.ndarray, min_sinr: float,
            interference_threshold_mw: float,
-           punishment: float) -> float | np.ndarray:
-    """Product of (1 + SINR) over each cell's users, or -punishment.
-
-    The positive branch requires every user to clear the SINR floor and
-    every user's inter-cell interference to stay strictly below the
-    threshold; any violation collapses the whole cell to -punishment.
-    One cell gives a float, (..., U) inputs a (...) array.
-    """
+           punishment: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each cell's reward and punished flag. A cell is punished, and
+    its reward is -punishment, unless every user's SINR is strictly
+    above the floor and its inter-cell interference strictly below the
+    threshold; else the reward is the product of (1 + SINR) over its
+    users. One cell gives a float and a numpy bool, (..., U) inputs two
+    (...) arrays."""
     sinrs = np.asarray(sinrs, dtype=float)
     inter_mw = np.asarray(inter_mw, dtype=float)
     ok = np.all(sinrs > min_sinr, axis=-1) \
         & np.all(inter_mw < interference_threshold_mw, axis=-1)
     return np.where(ok, np.prod(1.0 + sinrs, axis=-1),
-                    -float(punishment))[()]
+                    -float(punishment))[()], ~ok
 
 
 def initial_powers_dbm(config: NetworkConfig) -> np.ndarray:

@@ -4,8 +4,8 @@
 the even split, beams matched to the new serving CSI. ``step`` applies
 one joint action per cell, checks the power budget and beam bounds,
 moves the users, evolves the channels and measures the result. Powers,
-beams, states and rewards are per-cell arrays handed to ``control`` in
-one call each, with cells as the leading axis.
+beams, states, rewards and punished flags are per-cell arrays handed
+to ``control`` in one call each, with cells as the leading axis.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class StepResult:
     sinr: np.ndarray        # (L, U) linear SINR reports
     estimates: np.ndarray   # (L, U) measured inter-cell interference, mW
     rewards: List[float]    # every cell's own reward
+    punished: np.ndarray    # (L,) bool: the cell's reward is -punishment
 
 
 class Environment:
@@ -87,8 +88,8 @@ class Environment:
         estimates = measure_inter_cell(gammas, powers_mw, self.beams,
                                        self.channels, cfg.noise_mw,
                                        self.codebook)
-        rewards = control.reward(gammas, estimates, cfg.min_sinr,
-                                 cfg.interference_threshold_mw,
-                                 cfg.punishment).tolist()
+        rewards, punished = control.reward(gammas, estimates, cfg.min_sinr,
+                                           cfg.interference_threshold_mw,
+                                           cfg.punishment)
         self.offsets = self.users.offsets(self.layout)
-        return StepResult(table, gammas, estimates, rewards)
+        return StepResult(table, gammas, estimates, rewards.tolist(), punished)

@@ -9,12 +9,12 @@ agent k's view) that every function broadcasts over, with (K, B, ...)
 minibatches; ``@`` on swapped axes runs one product per agent, so each
 agent's slice equals its unstacked call bit for bit.
 
-Every (..., B, .) array of a pass (layer outputs, deltas, gradients)
-lives in a ``Workspace`` made for one minibatch shape. A training run
-builds two next to its stacks, one for the learners' minibatches and one
-for the acting pass (one row per agent), and passes them to each
-``train_step`` and ``select_action``, which then allocate no
-activation, delta or gradient of their own; the run owns them, a
+Every array of a pass (layer outputs, deltas, one gradient per
+parameter) lives in a ``Workspace`` made for one minibatch shape. A
+training run builds two next to its stacks, one for the learners'
+minibatches and one for the acting pass (one row per agent), and passes
+them to each ``train_step`` and ``select_action``, which then allocate
+no activation, delta or gradient of their own; the run owns them, a
 ``QNetwork`` never holds one. ``q_forward`` and ``loss_and_gradients``,
 the reference passes the tests check against, run the same kernels in a
 workspace made for their call, so what they return belongs to the
@@ -22,6 +22,8 @@ caller.
 
 A stacked step is all-or-nothing: if any agent's loss is non-finite,
 ``train_step`` raises before the backward pass and no weight changes.
+Otherwise the backward pass fills every gradient from the pre-update
+weights, and only then does the step change a weight.
 """
 
 from __future__ import annotations
@@ -108,11 +110,9 @@ class QNetwork:
 class Workspace:
     """The arrays one minibatch shape of ``net``'s architecture passes
     through: (..., batch) rows of layer outputs (the hidden ones later
-    hold their ReLU masks, the Q-values dL/dq), bias spreads and
-    hidden-layer deltas, and one weight and one bias gradient buffer
-    sized for the largest layer. The target pass and the online pass
-    share the layer outputs, and the backward pass hands each layer's
-    gradients on before it takes the next layer's."""
+    hold their ReLU masks, the Q-values dL/dq), bias spreads,
+    hidden-layer deltas, and one gradient array per parameter. The
+    target pass and the online pass share the layer outputs."""
 
     def __init__(self, net: QNetwork, batch: int):
         lead = net.w1.shape[:-2] + (int(batch),)
@@ -120,10 +120,8 @@ class Workspace:
         self.outs = [np.empty(shape) for shape in shapes]
         self.spreads = _shared(shapes)
         self.dz1, self.dz2 = (np.empty(shape) for shape in shapes[:2])
-        self.grads: Dict[str, np.ndarray] = {}
-        for names in (QNetwork._PARAMS[0::2], QNetwork._PARAMS[1::2]):
-            self.grads.update(zip(names, _shared(
-                [getattr(net, name).shape for name in names])))
+        self.grads = {name: np.empty(param.shape)
+                      for name, param in net.parameters().items()}
 
 
 def _shared(shapes):
@@ -202,30 +200,26 @@ def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _gradients(net: QNetwork, x: np.ndarray, ws: Workspace):
-    """Backprop dL/dq (in ``ws.outs``) from the output layer down,
-    yielding each parameter's (name, gradient). The next layer's
-    gradients overwrite these buffers, so use each before asking for the
-    next; the delta below a layer is taken before its gradients are
-    yielded, so a caller may step the layer in between."""
+def _gradients(net: QNetwork, x: np.ndarray,
+               ws: Workspace) -> Dict[str, np.ndarray]:
+    """Backprop dL/dq (in ``ws.outs``) from the output layer down into
+    ``ws.grads``, every gradient from ``net``'s current weights; returns
+    ``ws.grads``."""
     (a1, a2, dq), grads = ws.outs, ws.grads
     np.matmul(dq.swapaxes(-1, -2), a2, out=grads["w3"])
     np.add.reduce(dq, axis=-2, out=grads["b3"])
     dz = np.matmul(dq, net.w3, out=ws.dz2)
-    yield from (("w3", grads["w3"]), ("b3", grads["b3"]))
     # ReLU'(z) from its output: a > 0 exactly where z > 0. The mask is
     # 1.0/0.0 in the activation's own array, where a bool mask would
     # need a cast buffer in the product.
     dz *= np.greater(a2, 0.0, out=a2)
     np.matmul(dz.swapaxes(-1, -2), a1, out=grads["w2"])
     np.add.reduce(dz, axis=-2, out=grads["b2"])
-    live = np.greater(a1, 0.0, out=a1)
     dz = np.matmul(dz, net.w2, out=ws.dz1)
-    yield from (("w2", grads["w2"]), ("b2", grads["b2"]))
-    dz *= live
+    dz *= np.greater(a1, 0.0, out=a1)
     np.matmul(dz.swapaxes(-1, -2), x, out=grads["w1"])
     np.add.reduce(dz, axis=-2, out=grads["b1"])
-    yield from (("w1", grads["w1"]), ("b1", grads["b1"]))
+    return grads
 
 
 def loss_and_gradients(net: QNetwork, target_net: QNetwork,
@@ -238,8 +232,7 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork,
     ws = Workspace(net, x.shape[-2])
     loss = _loss(net, target_net, x, actions, rewards, next_states, alpha,
                  ws)
-    grads = {name: grad.copy() for name, grad in _gradients(net, x, ws)}
-    return loss, grads
+    return loss, _gradients(net, x, ws)
 
 
 def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
@@ -257,7 +250,7 @@ def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
     if len(bad):
         raise TrainingFault("non-finite training loss %r"
                             % float(np.ravel(loss)[bad[0]]))
-    for name, grad in _gradients(net, x, workspace):
+    for name, grad in _gradients(net, x, workspace).items():
         grad *= eta
         getattr(net, name)[...] -= grad
     return loss

@@ -9,7 +9,8 @@ Five frameworks are supported by the trainer:
 * ``share-all``      every transition goes to every neighbour,
 * ``share-nothing``  fully isolated agents,
 * ``crdu``           no experience exchange, but a central controller
-                     hands every agent the same network-wide reward,
+                     hands every agent one network-wide reward made
+                     from every cell's reward and punished flag,
 * ``ctde``           one central network trained on a pooled buffer whose
                      weights are broadcast back to the acting agents.
 
@@ -118,14 +119,15 @@ def deliver(mask: np.ndarray, rows: np.ndarray,
             if n}
 
 
-def crdu_reward(cell_rewards: Sequence[float], punishment: float) -> float:
-    """Common reward: global product unless any cell was punished."""
-    rewards = list(cell_rewards)
-    if not rewards:
+def crdu_reward(cell_rewards: Sequence[float], punished: Sequence[bool],
+                punishment: float) -> float:
+    """Common reward: -punishment if any cell was punished, else the
+    product of the cells' rewards."""
+    if not len(cell_rewards):
         raise ContractViolation("need at least one cell reward")
-    if any(r == -punishment for r in rewards):
+    if any(punished):
         return -float(punishment)
-    return math.prod(rewards)
+    return math.prod(cell_rewards)
 
 
 def ctde_sync(central: QNetwork, agents: QNetwork) -> int:

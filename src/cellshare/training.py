@@ -134,7 +134,8 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 train_rewards = result.rewards
                 if behaviour.common_reward:
                     train_rewards = [sharing.crdu_reward(
-                        result.rewards, net_cfg.punishment)] * L
+                        result.rewards, result.punished,
+                        net_cfg.punishment)] * L
                 next_states = env.states()
 
                 # --- store -----------------------------------------------

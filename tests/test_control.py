@@ -214,12 +214,16 @@ def test_batched_reward_equals_per_cell_calls(shape, data):
     B, L, _ = shape
     sinrs = data.draw(arrays(float, shape, elements=st.floats(0.0, 3.0)))
     inter = data.draw(arrays(float, shape, elements=st.floats(0.0, 2e-14)))
-    rewards = reward(sinrs, inter, 0.5, 1e-14, 100.0)
-    assert rewards.shape == (B, L)
+    rewards, punished = reward(sinrs, inter, 0.5, 1e-14, 100.0)
+    assert rewards.shape == punished.shape == (B, L)
+    assert punished.dtype == bool
     want = [[reward(sinrs[b, ell], inter[b, ell], 0.5, 1e-14, 100.0)
              for ell in range(L)] for b in range(B)]
-    assert all(isinstance(r, float) for row in want for r in row)
-    assert np.array_equal(rewards, want)
+    assert all(isinstance(r, float) and isinstance(flag, np.bool_)
+               for row in want for r, flag in row)
+    assert np.array_equal(rewards, [[r for r, _ in row] for row in want])
+    assert np.array_equal(punished, [[f for _, f in row] for row in want])
+    assert np.array_equal(punished, rewards == -100.0)
 
 
 def test_state_layout_and_normalization():
@@ -244,21 +248,40 @@ def test_reward_positive_branch_is_a_product():
     for _ in range(200):
         sinrs = rng.uniform(0.6, 50.0, size=3)
         inter = rng.uniform(0.0, 0.9e-14, size=3)
-        got = reward(sinrs, inter, 0.5, 1e-14, 100.0)
+        got, punished = reward(sinrs, inter, 0.5, 1e-14, 100.0)
         assert got == pytest.approx(np.prod(1.0 + sinrs), rel=1e-12)
+        assert not punished
+    # batched: every cell clear
+    sinrs = rng.uniform(0.6, 50.0, size=(4, 3))
+    got, punished = reward(sinrs, np.zeros((4, 3)), 0.5, 1e-14, 100.0)
+    assert np.array_equal(got, np.prod(1.0 + sinrs, axis=-1))
+    assert np.array_equal(punished, [False] * 4)
 
 
 def test_reward_punishes_any_violation():
     ok_sinr = np.array([2.0, 2.0])
     ok_inter = np.array([1e-15, 1e-15])
-    assert reward(ok_sinr, ok_inter, 0.5, 1e-14, 100.0) == pytest.approx(9.0)
+
+    def check(sinrs, inter, value, flag):
+        got, punished = reward(sinrs, inter, 0.5, 1e-14, 100.0)
+        assert got == pytest.approx(value)
+        assert punished == flag
+
+    check(ok_sinr, ok_inter, 9.0, False)
     # one user below the floor is enough
-    assert reward(np.array([2.0, 0.4]), ok_inter, 0.5, 1e-14, 100.0) == -100.0
+    check(np.array([2.0, 0.4]), ok_inter, -100.0, True)
     # one user over the interference cap is enough
-    assert reward(ok_sinr, np.array([1e-15, 2e-14]), 0.5, 1e-14, 100.0) == -100.0
+    check(ok_sinr, np.array([1e-15, 2e-14]), -100.0, True)
     # both comparisons are strict
-    assert reward(np.array([0.5, 2.0]), ok_inter, 0.5, 1e-14, 100.0) == -100.0
-    assert reward(ok_sinr, np.array([1e-14, 1e-15]), 0.5, 1e-14, 100.0) == -100.0
+    check(np.array([0.5, 2.0]), ok_inter, -100.0, True)
+    check(ok_sinr, np.array([1e-14, 1e-15]), -100.0, True)
+    # batched over the five cells above
+    sinrs = np.array([ok_sinr, [2.0, 0.4], ok_sinr, [0.5, 2.0], ok_sinr])
+    inter = np.array([ok_inter, ok_inter, [1e-15, 2e-14], ok_inter,
+                      [1e-14, 1e-15]])
+    got, punished = reward(sinrs, inter, 0.5, 1e-14, 100.0)
+    assert np.array_equal(got, [9.0] + [-100.0] * 4)
+    assert np.array_equal(punished, [False] + [True] * 4)
 
 
 def test_initial_operating_point():

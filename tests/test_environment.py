@@ -60,3 +60,18 @@ def test_step_rewards_are_one_float_per_cell():
     result = env.step([0] * env.config.cells)
     assert len(result.rewards) == env.config.cells
     assert all(type(r) is float for r in result.rewards)
+
+
+def test_step_flags_exactly_the_punished_cells():
+    env = _env()
+    rng = np.random.default_rng(5)
+    n_actions = control.action_space_size(env.config.users_per_cell)
+    flags = []
+    for _ in range(40):
+        result = env.step(rng.integers(n_actions, size=env.config.cells))
+        assert result.punished.shape == (env.config.cells,)
+        assert result.punished.dtype == bool
+        assert np.array_equal(result.punished, np.array(result.rewards)
+                              == -env.config.punishment)
+        flags.extend(result.punished.tolist())
+    assert 0 < sum(flags) < len(flags)  # both kinds of cell occur

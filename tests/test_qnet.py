@@ -1,5 +1,6 @@
 """Forward pass, hand-checked backprop, SGD step and action selection."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -378,6 +379,19 @@ def test_workspace_must_fit_the_minibatch():
         select_action(net, stacked[0][:, 0], 0.0, rngs, Workspace(net, 2))
     with pytest.raises(ContractViolation):
         select_action(net, stacked[0][:, 0], 0.0, rngs, Workspace(net[0], 1))
+
+
+@pytest.mark.parametrize("agents", [None, 3])
+def test_workspace_holds_one_gradient_array_per_parameter(agents):
+    net = QNetwork(12, 64, rng=np.random.default_rng(15))
+    if agents:
+        net = QNetwork.stack([net] * agents)
+    grads = Workspace(net, 8).grads
+    assert list(grads) == list(QNetwork._PARAMS)
+    for name, grad in grads.items():
+        assert grad.shape == getattr(net, name).shape
+    for one, other in itertools.combinations(grads.values(), 2):
+        assert not np.shares_memory(one, other)
 
 
 @settings(max_examples=60, deadline=None)

@@ -139,11 +139,22 @@ def test_deliver_counts_and_tags_received(scene, first_row):
 
 
 def test_crdu_reward_product_and_punishment():
-    assert crdu_reward([8.0, 2.0], 100.0) == pytest.approx(16.0)
-    assert crdu_reward([8.0, -100.0], 100.0) == -100.0
-    assert crdu_reward([-100.0, -100.0], 100.0) == -100.0
+    assert crdu_reward([8.0, 2.0], [False, False], 100.0) == 16.0
+    assert crdu_reward([8.0, -100.0], [False, True], 100.0) == -100.0
+    assert crdu_reward([-100.0, -100.0], np.array([True, True]),
+                       100.0) == -100.0
     with pytest.raises(ContractViolation):
-        crdu_reward([], 100.0)
+        crdu_reward([], [], 100.0)
+
+
+def test_crdu_reward_reads_the_flags_not_the_values():
+    # an unflagged reward equal to -punishment is still multiplied
+    assert crdu_reward([-100.0, 2.0], [False, False], 100.0) == -200.0
+    assert crdu_reward([-100.0], np.array([False]), 100.0) == -100.0
+    assert crdu_reward([-3.0, -100.0], [False, False], 100.0) == 300.0
+    # any flag gives -punishment, whatever the values
+    assert crdu_reward([8.0, 2.0], [False, True], 100.0) == -100.0
+    assert crdu_reward([8.0, 2.0], np.array([True, False]), 7.0) == -7.0
 
 
 def test_ctde_sync_copies_weights_and_counts_scalars():
