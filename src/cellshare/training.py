@@ -14,7 +14,8 @@ from ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the
 step's share mask and that row. The environment advance is
 ``Environment.step``. A non-finite loss ends the run with a
 ``TrainingFault`` carrying the partial artifacts; its step changed no
-weight and is not counted in ``train_step_count``.
+weight, is not counted in ``train_step_count``, and acted at the
+``final_epsilon`` they report.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class RunArtifacts:
     agent_nets: QNetwork                  # the (L, ...) stack that acts
     central_net: Optional[QNetwork] = None  # ctde's learner (a view)
     train_step_count: int = 0
-    final_epsilon: float = 0.0
+    final_epsilon: float = 0.0  # after the run, or at its faulting step
 
 
 def _log_step(log: MetricsLog, episode: int, t: int, rewards: Sequence[float],
@@ -186,6 +187,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
             _log_episode(log, episode, result.sinr)
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
+        artifacts.final_epsilon = epsilon
         fault.artifacts = artifacts
         raise
 

@@ -149,6 +149,25 @@ def test_training_fault_exits_runtime_with_partial_artifacts(tmp_path,
     assert (out / "metrics.csv").is_file()
 
 
+def test_aborted_run_reports_the_epsilon_it_stopped_at(tmp_path):
+    # training starts in episode 1, so the fault comes after a decay
+    cfg = small_run_config(learning_rate=1e15, episodes=4, batch_size=40,
+                           buffer_capacity=100)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", _config_file(tmp_path, cfg),
+                     "--framework", "smart", "--seed", "3",
+                     "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    info = json.loads((out / "run.json").read_text())
+    assert info["status"].startswith("aborted")
+    header, rows = read_csv(str(out / "metrics.csv"))
+    assert rows[-1][header.index("episode")] == "1"
+    last = float(rows[-1][header.index("epsilon")])
+    assert last == cfg.training.epsilon_start * cfg.training.epsilon_decay
+    assert info["final_epsilon"] == last
+
+
 def test_any_package_error_exits_runtime(monkeypatch, capsys):
     class NewError(CellshareError):
         pass
