@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -191,19 +193,18 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text, source=path)
 
 
-def _fail(source, lines, section, key, message):
-    lineno = lines.get((section, key)) if lines else None
-    where = "%s line %d: " % (source, lineno) if lineno else ""
-    raise ConfigError(where + message)
-
-
 def validate_config(cfg: RunConfig, source: str = "<config>",
                     lines: Dict[Tuple[str, str], int] | None = None) -> None:
     net, tr, sh, orc = cfg.network, cfg.training, cfg.sharing, cfg.oracle
 
-    def check(section, key, ok, message):
+    def check(section, keys, ok, message):
+        """Unless ``ok``, raise naming the line of whichever of ``keys``
+        (one key or a tuple) the file sets last."""
         if not ok:
-            _fail(source, lines, section, key, message)
+            keys = (keys,) if isinstance(keys, str) else keys
+            lineno = max((lines or {}).get((section, key), 0) for key in keys)
+            where = "%s line %d: " % (source, lineno) if lineno else ""
+            raise ConfigError(where + message)
 
     # NaN fails every comparison and inf passes most range checks, so
     # neither may reach them; only an unbounded SINR floor or
@@ -237,15 +238,25 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
           "ue_speed_mps must be non-negative")
     check("network", "step_duration_s", net.step_duration > 0,
           "step_duration_s must be positive")
-    # finite factors can still overflow together; name the one set last
-    from .channel import doppler_phase  # channel imports this module
-    last = max(("ue_speed_mps", "carrier_freq_hz", "step_duration_s"),
-               key=lambda key: (lines or {}).get(("network", key), 0))
-    check("network", last, math.isfinite(doppler_phase(net)),
-          "ue_speed_mps * carrier_freq_hz * step_duration_s overflows the "
-          "Doppler phase 2*pi*v*f_c*T/c")
     check("network", "pathloss_exponent", net.pathloss_exponent > 0,
           "pathloss_exponent must be positive")
+    # finite factors can still overflow or underflow together
+    from .channel import (MIN_PATHLOSS_DISTANCE, doppler_phase,
+                          path_loss_gain)  # channel imports this module
+    check("network", ("ue_speed_mps", "carrier_freq_hz", "step_duration_s"),
+          math.isfinite(doppler_phase(net)),
+          "ue_speed_mps * carrier_freq_hz * step_duration_s overflows the "
+          "Doppler phase 2*pi*v*f_c*T/c")
+    try:  # a Python float's square raises where it overflows
+        with np.errstate(all="ignore"):
+            near, edge = path_loss_gain(np.array(
+                [MIN_PATHLOSS_DISTANCE, net.cell_radius]), net)
+    except OverflowError:
+        near = edge = math.inf
+    check("network", ("carrier_freq_hz", "pathloss_exponent", "cell_radius_m"),
+          math.isfinite(near) and edge > 0,
+          "the path-loss gain (c/4*pi*f_c)**2 * d**-n must be finite at "
+          "%g m and positive at the cell edge" % MIN_PATHLOSS_DISTANCE)
     check("network", "paths", net.paths >= 1, "paths must be >= 1")
     check("network", "punishment", net.punishment > 0,
           "punishment must be positive")

@@ -134,6 +134,18 @@ def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_path_loss_overflow_is_a_config_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("[network]\ncarrier_freq_hz = 1e-310\n"
+                    "ue_speed_mps = 0.0\n[training]\nepisodes = 1\n"
+                    "steps_per_episode = 3\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(conf), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert "run.conf line 2: the path-loss gain" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_training_fault_exits_runtime_with_partial_artifacts(tmp_path,
                                                              capsys):
     cfg = small_run_config(learning_rate=1e15)

@@ -137,6 +137,34 @@ def test_overflowing_doppler_phase_is_a_config_error():
     parse_config("[network]\nue_speed_mps = 1e150\ncarrier_freq_hz = 1e150\n")
 
 
+def test_path_loss_out_of_range_is_a_config_error():
+    # a tiny carrier overflows (c/4*pi*f_c)**2: to inf through the
+    # division, or as Python's OverflowError in the square; a huge
+    # exponent or cell radius underflows d**-n to 0 at the cell edge
+    for text in ("carrier_freq_hz = 1e-310\nue_speed_mps = 0.0\n",
+                 "carrier_freq_hz = 1e-160\n",
+                 "pathloss_exponent = 400\n",
+                 "cell_radius_m = 1e300\ninter_site_distance_m = 1e300\n"):
+        with pytest.raises(ConfigError, match="line 2: .*path-loss gain"):
+            parse_config("[network]\n" + text)
+    # the line named is the last of the three keys the file sets
+    with pytest.raises(ConfigError, match="line 4: .*path-loss gain"):
+        parse_config("[network]\npathloss_exponent = 400\n"
+                     "ue_speed_mps = 0.0\ncell_radius_m = 150\n")
+    with pytest.raises(ConfigError, match="line 3: .*path-loss gain"):
+        parse_config("[network]\npathloss_exponent = 400\n"
+                     "carrier_freq_hz = 1e-310\n")
+    cfg = default_config()
+    cfg.network.pathloss_exponent = 400.0
+    with pytest.raises(ConfigError, match="^the path-loss gain"):
+        validate_config(cfg)
+    # large or small but representable gains are accepted
+    parse_config("[network]\ncarrier_freq_hz = 1e-100\n")
+    parse_config("[network]\npathloss_exponent = 100\n")
+    validate_config(default_config())
+    validate_config(desk_config())
+
+
 def test_desk_conf_is_the_defaults_with_six_overrides():
     expected = default_config()
     expected.network.antennas = 4
