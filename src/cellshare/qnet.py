@@ -171,13 +171,6 @@ def q_forward(net: QNetwork, x) -> np.ndarray:
     return _forward(net, x, Workspace(net, x.shape[-2]))
 
 
-def _targets(q_next: np.ndarray, rewards: np.ndarray,
-             alpha: float) -> np.ndarray:
-    """Bootstrapped targets. Episodes are fixed length, so every
-    transition bootstraps (no terminal cutoff)."""
-    return rewards + alpha * q_next.max(axis=-1)
-
-
 def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
           rewards: np.ndarray, next_states, alpha: float,
           ws: Workspace) -> np.ndarray:
@@ -187,8 +180,9 @@ def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
         raise ContractViolation("minibatch must contain at least one item")
     if np.any(actions < 0) or np.any(actions >= net.output_size):
         raise ContractViolation("action index outside the network head")
-    y = _targets(_forward(target_net, _rows(target_net, next_states), ws),
-                 rewards, alpha)
+    # episodes are fixed length, so every target bootstraps
+    q_next = _forward(target_net, _rows(target_net, next_states), ws)
+    y = rewards + alpha * q_next.max(axis=-1)
     q = _forward(net, states, ws)
     # Q-values indexed by transition, over all agents of a stack
     rows, acts, b = np.arange(actions.size), actions.ravel(), actions.shape[-1]

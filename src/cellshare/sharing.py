@@ -121,8 +121,7 @@ def deliver(mask: np.ndarray, rows: np.ndarray,
 
 def crdu_reward(cell_rewards: Sequence[float], punished: Sequence[bool],
                 punishment: float) -> float:
-    """Common reward: -punishment if any cell was punished, else the
-    product of the cells' rewards."""
+    """-punishment if any cell was punished, else the rewards' product."""
     if not len(cell_rewards):
         raise ContractViolation("need at least one cell reward")
     if any(punished):

@@ -58,11 +58,6 @@ def _log_step(log: MetricsLog, episode: int, t: int, rewards: Sequence[float],
         in enumerate(zip(rewards, losses, sent, received)))
 
 
-def _log_episode(log: MetricsLog, episode: int, sinrs: np.ndarray) -> None:
-    """Log an episode from its last step's (L, U) SINRs."""
-    log.add_episode(episode, sinrs, network_sum_rate(sinrs))
-
-
 def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     """Full training run of one framework; deterministic in (cfg, seed)."""
     if framework not in sharing.FRAMEWORKS:
@@ -184,7 +179,8 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                           sent.tolist(), received)
                 states = next_states
 
-            _log_episode(log, episode, result.sinr)
+            log.add_episode(episode, result.sinr,  # the last step's SINRs
+                            network_sum_rate(result.sinr))
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
         artifacts.final_epsilon = epsilon
@@ -215,5 +211,5 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
                                             dummy_rngs, acting))
             _log_step(log, episode, t, result.rewards, [math.nan] * L, 0.0,
                       [0] * L, [0] * L)
-        _log_episode(log, episode, result.sinr)
+        log.add_episode(episode, result.sinr, network_sum_rate(result.sinr))
     return log
