@@ -6,9 +6,10 @@ For each stack size K in 1, 2, 7 and 19 it builds K agents at the desk
 sizes (state 12, 64 joint actions, batch 32), a target copy and one
 workspace, as ``training.run_training`` does. After a warm-up it times
 --repeats rounds of --steps steps over a fixed set of random minibatches
-and prints the best round's microseconds per step and the minor page
+and prints the best round's microseconds per step, the minor page
 faults per step the process took over all rounds
-(``resource.getrusage``). With --jobs N it then runs N whole
+(``resource.getrusage``), and the bytes of the workspace (each distinct
+array once, so views of one array count as that array). With --jobs N it then runs N whole
 hex19-share jobs of the benchmark in ``perfbench/`` after one warm-up
 job and prints their minor faults per job. The last line is all of it
 as JSON. BLAS runs on one thread, as in the benchmark.
@@ -44,6 +45,21 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def workspace_bytes(workspace: qnet.Workspace) -> int:
+    """Bytes of the distinct arrays ``workspace`` holds: a view counts
+    as the array it views, once."""
+    arrays = []
+    for value in vars(workspace).values():
+        if isinstance(value, dict):
+            value = list(value.values())
+        arrays.extend(value if isinstance(value, list) else [value])
+    owners = {}
+    for array in arrays:
+        owner = array if array.base is None else array.base
+        owners[id(owner)] = owner
+    return sum(owner.nbytes for owner in owners.values())
+
+
 def bench_stack(agents: int, steps: int, repeats: int) -> dict:
     rng = np.random.default_rng(agents)
     net = qnet.QNetwork.stack([qnet.QNetwork(STATE, ACTIONS, rng=rng)
@@ -71,7 +87,8 @@ def bench_stack(agents: int, steps: int, repeats: int) -> dict:
         rounds.append(time.perf_counter() - t0)
     faults = minor_faults() - faults
     return {"agents": agents, "step_us": 1e6 * min(rounds) / steps,
-            "faults_per_step": faults / (steps * repeats)}
+            "faults_per_step": faults / (steps * repeats),
+            "workspace_bytes": workspace_bytes(workspace)}
 
 
 def bench_jobs(jobs: int, seed: int) -> dict:
@@ -108,8 +125,10 @@ def main(argv=None) -> int:
     for agents in STACKS:
         row = bench_stack(agents, args.steps, args.repeats)
         report["stacks"].append(row)
-        print("K=%-3d %9.1f us/step %9.2f minor faults/step"
-              % (agents, row["step_us"], row["faults_per_step"]))
+        print("K=%-3d %9.1f us/step %9.2f minor faults/step "
+              "%10d workspace bytes"
+              % (agents, row["step_us"], row["faults_per_step"],
+                 row["workspace_bytes"]))
     if args.jobs:
         report["jobs"] = bench_jobs(args.jobs, args.seed)
         print("hex19-share seed %d: minor faults per job %s"
