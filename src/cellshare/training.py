@@ -14,8 +14,8 @@ from ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the
 step's share mask and that row. The environment advance is
 ``Environment.step``. A non-finite loss ends the run with a
 ``TrainingFault`` carrying the partial artifacts; its step changed no
-weight, is not counted in ``train_step_count``, and acted at the
-``final_epsilon`` they report.
+weight and is not counted in ``train_step_count``, and their
+``final_epsilon`` is the one it acted at.
 """
 
 from __future__ import annotations
