@@ -29,7 +29,7 @@ class StepResult:
     sinr: np.ndarray        # (L, U) linear SINR reports
     estimates: np.ndarray   # (L, U) measured inter-cell interference, mW
     rewards: List[float]    # every cell's own reward
-    punished: np.ndarray    # (L,) bool: the cell's reward is -punishment
+    punished: np.ndarray    # (L,) bool: control.reward punished the cell
 
 
 class Environment:
