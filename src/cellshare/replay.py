@@ -1,9 +1,9 @@
-"""The per-run transition table and the bounded FIFO replay buffers of
-row ids into it."""
+"""The per-run transition table and the run's replay: one bounded FIFO
+ring of row ids into it per learner, as rows of one id matrix."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +23,8 @@ class TransitionTable:
     cells + cell``.
 
     Every user of a cell has an experience per step, and the users'
-    experiences of one step are the same transition; a replay buffer
-    holds one copy of the row's id per user it took.
+    experiences of one step are the same transition; a learner's replay
+    ring holds one copy of the row's id per user it took.
     """
 
     def __init__(self, steps: int, cells: int, state_len: int):
@@ -57,40 +57,49 @@ class TransitionTable:
 
 
 class ReplayBuffer:
-    """Ring of row ids with strictly oldest-first eviction: the n-th id
-    ever inserted sits in slot n % capacity."""
+    """Rings of row ids with strictly oldest-first eviction: learner k's
+    n-th id ever inserted sits in ``slots[k, n % capacity]``."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ContractViolation("buffer capacity must be >= 1")
+    def __init__(self, learners: int, capacity: int):
+        if learners < 1 or capacity < 1:
+            raise ContractViolation("replay needs learners, capacity >= 1")
         self.capacity = int(capacity)
-        self.slots = np.zeros(self.capacity, dtype=int)
+        self.slots = np.zeros((learners, self.capacity), dtype=int)
+        self.counts = np.zeros(learners, dtype=int)
         self.inserted_local = 0
         self.inserted_received = 0
 
-    def __len__(self) -> int:
-        return min(self.inserted_local + self.inserted_received,
-                   self.capacity)
-
-    def insert(self, ids: np.ndarray, received: bool = False) -> None:
-        ids = np.asarray(ids, dtype=int)
-        start = self.inserted_local + self.inserted_received
+    def insert(self, copies: np.ndarray, rows: np.ndarray,
+               received: bool = False) -> None:
+        """Give learner k ``copies[k, j]`` ids ``rows[j]``, in j order."""
+        taken = copies.sum(axis=1)
+        ends = taken.cumsum()
+        total = int(ends[-1])
+        # each id's (learner, j) cell, learner by learner in j order
+        learner, j = np.divmod(np.repeat(np.arange(copies.size),
+                                         copies.ravel()), copies.shape[1])
+        flat = np.arange(total)
+        number = flat + (self.counts + taken - ends)[learner]
+        if total > self.capacity and taken.max() > self.capacity:
+            # numpy does not say which of two writes to one slot wins
+            kept = flat >= (ends - self.capacity)[learner]
+            learner, j, number = learner[kept], j[kept], number[kept]
+        self.slots[learner, number % self.capacity] = rows[j]
+        self.counts += taken
         if received:
-            self.inserted_received += len(ids)
+            self.inserted_received += total
         else:
-            self.inserted_local += len(ids)
-        # ids beyond the last `capacity` would be overwritten in this call
-        kept = ids[-self.capacity:]
-        start += len(ids) - len(kept)
-        self.slots[(start + np.arange(len(kept))) % self.capacity] = kept
+            self.inserted_local += total
 
     def sample(self, batch_size: int,
-               rng: np.random.Generator) -> Optional[np.ndarray]:
-        """Row ids, uniform over slots without replacement; None while
-        under-filled."""
+               rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """(learners, batch_size) row ids: learner k's are uniform over
+        its filled slots without replacement, drawn from ``rngs[k]``."""
         if batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
-        if len(self) < batch_size:
-            return None
-        idx = rng.choice(len(self), size=batch_size, replace=False)
-        return self.slots[idx]
+        filled = np.minimum(self.counts, self.capacity).tolist()
+        if min(filled) < batch_size:
+            raise ContractViolation("a learner holds < batch_size ids")
+        picks = [rng.choice(n, size=batch_size, replace=False)
+                 for n, rng in zip(filled, rngs)]
+        return self.slots[np.arange(len(picks))[:, None], picks]

@@ -16,7 +16,8 @@ Five frameworks are supported by the trainer:
 
 ``BEHAVIOUR`` holds each one as plain data for the trainer: the share
 rule that returns a step's (sender, user, receiver) boolean mask of
-experiences to send (None: no exchange; never a cell to itself),
+experiences to send (None: no exchange; never a cell to itself), which
+``deliver`` turns into one insert of row ids into the receivers' rings,
 whether one central learner trains on every cell's rows (its weights
 broadcast by ``ctde_sync``) or each agent trains its own, and whether
 the agents train on ``crdu_reward``'s common reward. ``FRAMEWORKS``
@@ -102,21 +103,19 @@ def smart_select(aggregate_estimates_mw: np.ndarray,
 
 
 def deliver(mask: np.ndarray, rows: np.ndarray,
-            buffers: Sequence[ReplayBuffer]) -> Dict[int, int]:
-    """Insert the experiences ``mask`` selects into receiver buffers.
+            replay: ReplayBuffer) -> Dict[int, int]:
+    """Insert the experiences ``mask`` selects into the receivers' rings.
 
-    ``rows[sender]`` is the sender's transition-table row for the step.
-    Each receiver takes its experiences in sender, then user order, so
-    runs are schedule independent. Returns the number of experiences
-    sent per sender that sent any.
+    ``rows[sender]`` is the sender's transition-table row for the step,
+    and receiver k is learner k of ``replay``. Each receiver takes its
+    experiences in sender, then user order, so runs are schedule
+    independent. Returns the number of experiences sent per sender that
+    sent any.
     """
     counts = mask.sum(axis=1)  # (sender, receiver)
-    for receiver, buffer in enumerate(buffers):
-        if counts[:, receiver].any():
-            buffer.insert(np.repeat(rows, counts[:, receiver]),
-                          received=True)
-    return {sender: int(n) for sender, n in enumerate(counts.sum(axis=1))
-            if n}
+    replay.insert(counts.T, rows, received=True)
+    return {sender: n for sender, n
+            in enumerate(counts.sum(axis=1).tolist()) if n}
 
 
 def crdu_reward(cell_rewards: Sequence[float], punished: Sequence[bool],

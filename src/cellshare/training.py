@@ -3,12 +3,13 @@ greedy evaluation rollouts and run artifacts.
 
 Every step has three strictly ordered stages: the agents' stacked
 network acts for all cells, then each cell's transition is stored once
-in the run's ``TransitionTable`` (its buffer takes one id per user), the
-share rule's (sender, user, receiver) mask of experiences is delivered
-as ids (the barrier), then the learner stack (one network per cell, or
-ctde's one central network) takes one stacked gradient step on one
-minibatch per buffer, gated until every buffer is full, with its arrays
-in the run's one ``qnet.Workspace``. What differs between frameworks
+in the run's ``TransitionTable`` (its learner's ring in the run's one
+``ReplayBuffer`` takes one id per user, ctde's in cell order), the share
+rule's (sender, user, receiver) mask of experiences is delivered as ids
+(the barrier), then the learner stack (one network per cell, or ctde's
+one central network) takes one stacked gradient step on one minibatch
+per ring, gated until every ring holds a batch, with its arrays in the
+run's one ``qnet.Workspace``. What differs between frameworks
 (own or common training reward, the share rule, the learners) comes
 from ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the
 step's share mask and that row. The environment advance is
@@ -78,7 +79,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     streams = [np.random.default_rng(s) for s in root.spawn(3 * L + 2)]
     action_rngs = streams[1:3 * L:3]
 
-    # One learner stack with one target copy and one replay buffer and
+    # One learner stack with one target copy and one replay ring and
     # sampling stream per learner: every cell's own network, or ctde's
     # central one (the one-learner case), which the acting stack copies.
     inits = [streams[3 * L]] if behaviour.central else streams[0:3 * L:3]
@@ -91,14 +92,13 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     workspace = Workspace(learner, tr_cfg.batch_size)  # every step's arrays
     acting = Workspace(agents, 1)
     owner = np.arange(L) % len(learner)  # the learner of each cell's rows
-    learner_buffers = [ReplayBuffer(tr_cfg.buffer_capacity)
-                       for _ in sample_rngs]
-    buffers = [learner_buffers[k] for k in owner]  # indexed by cell
+    replay = ReplayBuffer(len(learner), tr_cfg.buffer_capacity)
+    own = U * (np.arange(len(learner))[:, None] == owner)  # (learner, cell)
     train_steps = 0
-    # Every buffer takes U ids of its cell's row each step, so after
-    # ceil(capacity / U) steps it has evicted every older id: a ring of
-    # that many steps never overwrites a row a buffer still holds. A
-    # shorter run never wraps, so it needs no more steps than it has.
+    # Every ring takes U ids of each of its cells' rows each step, so
+    # after ceil(capacity / U) steps it has evicted every older id: a
+    # table of that many steps never overwrites a row a ring still
+    # holds. A shorter run never wraps, so it needs no more steps.
     table = TransitionTable(min(-(-tr_cfg.buffer_capacity // U),
                                 tr_cfg.episodes * T), L, state_len)
 
@@ -137,8 +137,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 # --- store -----------------------------------------------
                 rows = table.store(step_idx, states, actions, train_rewards,
                                    next_states)
-                for ell in range(L):
-                    buffers[ell].insert(np.full(U, rows[ell]))
+                replay.insert(own, rows)
 
                 # --- sharing barrier -------------------------------------
                 if behaviour.share is None:
@@ -148,7 +147,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                                            result.table.inter_by_source,
                                            net_cfg.interference_threshold_mw,
                                            sh_cfg.attribution)
-                sharing.deliver(mask, rows, buffers)
+                    sharing.deliver(mask, rows, replay)
                 received = mask.sum(axis=(0, 1)).tolist()
                 sent = np.full(L, U) if behaviour.central \
                     else mask.sum(axis=(1, 2))
@@ -157,16 +156,14 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
 
                 # --- train -----------------------------------------------
                 losses = [math.nan] * L
-                if all(len(buffer) >= tr_cfg.batch_size
-                       for buffer in learner_buffers):
-                    ids = np.stack([
-                        buffer.sample(tr_cfg.batch_size, rng)
-                        for buffer, rng in zip(learner_buffers, sample_rngs)])
+                # capacity >= batch_size, so a ring this full can sample
+                if replay.counts.min() >= tr_cfg.batch_size:
+                    ids = replay.sample(tr_cfg.batch_size, sample_rngs)
                     step_losses = train_step(
                         learner, target, *table.batch(ids), tr_cfg.discount,
                         tr_cfg.learning_rate, workspace)
                     train_steps += 1
-                    artifacts.train_step_count += len(learner_buffers)
+                    artifacts.train_step_count += len(learner)
                     if train_steps % tr_cfg.target_refresh_steps == 0:
                         target.load_from(learner)
                     losses = step_losses[owner].tolist()

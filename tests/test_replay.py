@@ -1,5 +1,5 @@
-"""Transition table, the FIFO ring of row ids and on-the-wire experience
-size."""
+"""Transition table, the per-learner FIFO rings of row ids and
+on-the-wire experience size."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from cellshare.errors import ContractViolation
 from cellshare.replay import ReplayBuffer, TransitionTable, experience_scalars
 
 
-def _filled(capacity, ids):
-    buf = ReplayBuffer(capacity)
+def _filled(capacity, ids, learners=1):
+    """A ring whose every learner took ``ids`` one call at a time."""
+    ring = ReplayBuffer(learners, capacity)
     for i in ids:
-        buf.insert([i])
-    return buf
+        ring.insert(np.ones((learners, 1), dtype=int), np.array([i]))
+    return ring
 
 
 def _list_ring(capacity, inserts):
@@ -39,64 +40,104 @@ def test_scalar_count_per_shared_experience():
 
 
 def test_fifo_eviction_order():
-    buf = _filled(5, range(8))
-    assert len(buf) == 5
-    assert buf.slots.tolist() == [5, 6, 7, 3, 4]
-    buf.insert([8])
-    assert buf.slots.tolist() == [5, 6, 7, 8, 4]
+    ring = ReplayBuffer(2, 5)
+    for i in range(8):
+        ring.insert(np.array([[1], [i < 3]]), np.array([i]))
+    assert ring.slots.tolist() == [[5, 6, 7, 3, 4], [0, 1, 2, 0, 0]]
+    assert ring.counts.tolist() == [8, 3]
+    ring.insert(np.array([[1], [0]]), np.array([8]))
+    assert ring.slots[0].tolist() == [5, 6, 7, 8, 4]
 
 
-@given(st.integers(1, 50),
-       st.lists(st.integers(0, 120), max_size=12))
-def test_id_ring_matches_a_list_ring(capacity, sizes):
-    # insert sizes reach past the capacity, so one call can evict its
-    # own first ids
-    inserts, first = [], 0
-    buf = ReplayBuffer(capacity)
-    for size in sizes:
-        ids = list(range(first, first + size))
-        first += size
-        buf.insert(np.array(ids, dtype=int))
-        inserts.append(ids)
-    want = _list_ring(capacity, inserts)
-    assert len(buf) == len(want)
-    assert buf.slots[:len(buf)].tolist() == want
+@st.composite
+def _ragged_calls(draw):
+    """(learners, capacity, calls): each call a (learners, cells) copies
+    matrix, some of whose rows bring more ids than the capacity."""
+    learners = draw(st.integers(1, 4))
+    capacity = draw(st.integers(1, 50))
+    calls = []
+    for _ in range(draw(st.integers(0, 8))):
+        cells = draw(st.integers(1, 5))
+        calls.append(np.array(draw(st.lists(
+            st.lists(st.integers(0, 30), min_size=cells, max_size=cells),
+            min_size=learners, max_size=learners))).reshape(learners, cells))
+    return learners, capacity, calls
+
+
+@given(_ragged_calls())
+def test_id_ring_matches_a_list_ring(case):
+    # each learner's row equals its own list ring fed the same ids in
+    # cell order, also where one call brings it more than `capacity`
+    # ids and so evicts its own first ones
+    learners, capacity, calls = case
+    ring = ReplayBuffer(learners, capacity)
+    inserts = [[] for _ in range(learners)]
+    first = 0
+    for copies in calls:
+        rows = first + np.arange(copies.shape[1])
+        first += copies.shape[1]
+        ring.insert(copies, rows)
+        for k in range(learners):
+            inserts[k].append(np.repeat(rows, copies[k]).tolist())
+    for k in range(learners):
+        want = _list_ring(capacity, inserts[k])
+        assert ring.counts[k] == sum(map(len, inserts[k]))
+        assert ring.slots[k, :len(want)].tolist() == want
+    assert ring.inserted_local == sum(int(c.sum()) for c in calls)
+    assert ring.inserted_received == 0
 
 
 def test_insert_counters_split_local_and_received():
-    buf = ReplayBuffer(10)
-    buf.insert(np.full(4, 0))
-    buf.insert(np.array([1, 1, 2]), received=True)
-    assert buf.inserted_local == 4
-    assert buf.inserted_received == 3
-    assert len(buf) == 7
+    ring = ReplayBuffer(2, 10)
+    ring.insert(np.array([[4, 0], [0, 1]]), np.arange(2))
+    ring.insert(np.array([[0, 2], [1, 0]]), np.arange(1, 3),
+                received=True)
+    assert ring.inserted_local == 5
+    assert ring.inserted_received == 3
+    assert ring.counts.tolist() == [6, 2]
+    assert ring.slots[:, :6].tolist() == [[0, 0, 0, 0, 2, 2],
+                                          [1, 1, 0, 0, 0, 0]]
 
 
-def test_sample_underfilled_returns_none():
-    rng = np.random.default_rng(0)
-    buf = ReplayBuffer(100)
+def test_sample_underfilled_raises():
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    ring = ReplayBuffer(2, 100)
     for tag in range(7):
-        buf.insert([tag])
-        if len(buf) < 8:
-            assert buf.sample(8, rng) is None
-    buf.insert([7])
-    assert sorted(buf.sample(8, rng).tolist()) == list(range(8))
+        ring.insert(np.array([[1], [2]]), np.array([tag]))
+        with pytest.raises(ContractViolation, match="< batch_size"):
+            ring.sample(8, rngs)
+    ring.insert(np.array([[1], [0]]), np.array([7]))
+    ids = ring.sample(8, rngs)
+    assert sorted(ids[0].tolist()) == list(range(8))
+
+
+def test_sample_equals_each_learners_own_draws():
+    ring = ReplayBuffer(3, 6)
+    for step in range(4):
+        ring.insert(np.array([[1, 0], [2, 1], [3, 3]]),
+                    10 * step + np.arange(2))
+    ids = ring.sample(4, [np.random.default_rng(k) for k in range(3)])
+    for k, filled in enumerate((4, 6, 6)):
+        draws = np.random.default_rng(k).choice(filled, size=4,
+                                                replace=False)
+        assert ids[k].tolist() == ring.slots[k, draws].tolist()
 
 
 def test_sample_is_without_replacement():
-    buf = _filled(50, range(50))
-    rng = np.random.default_rng(1)
+    ring = _filled(50, range(50), learners=2)
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
     for _ in range(100):
-        assert len(set(buf.sample(20, rng).tolist())) == 20
+        for row in ring.sample(20, rngs):
+            assert len(set(row.tolist())) == 20
 
 
 def test_sample_is_roughly_uniform():
-    buf = _filled(10, range(10))
-    rng = np.random.default_rng(2)
+    ring = _filled(10, range(10))
+    rngs = [np.random.default_rng(2)]
     counts = np.zeros(10)
     draws = 4000
     for _ in range(draws):
-        for i in buf.sample(5, rng):
+        for i in ring.sample(5, rngs)[0]:
             counts[i] += 1
     expected = draws * 5 / 10.0
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -105,11 +146,13 @@ def test_sample_is_roughly_uniform():
 
 def test_constructor_and_sample_guards():
     with pytest.raises(ContractViolation):
-        ReplayBuffer(0)
-    buf = ReplayBuffer(3)
-    buf.insert([0])
+        ReplayBuffer(1, 0)
     with pytest.raises(ContractViolation):
-        buf.sample(0, np.random.default_rng(3))
+        ReplayBuffer(0, 3)
+    ring = _filled(3, [0, 1, 2], learners=2)
+    rngs = [np.random.default_rng(3)] * 2
+    with pytest.raises(ContractViolation):
+        ring.sample(0, rngs)
     with pytest.raises(ContractViolation):
         TransitionTable(0, 2, 4)
 

@@ -125,15 +125,18 @@ def test_deliver_counts_and_tags_received(scene, first_row):
     mask = smart_select(aggregate, per_source, threshold, "genie")
     cells, users, _ = mask.shape
     rows = first_row + np.arange(cells)
-    buffers = [ReplayBuffer(1000) for _ in range(cells)]
-    sent = deliver(mask, rows, buffers)
-    for receiver, buf in enumerate(buffers):
-        # sender, then user order
-        want = [rows[sender] for sender in range(cells)
-                for user in range(users) if mask[sender, user, receiver]]
-        assert buf.slots[:len(buf)].tolist() == want
-        assert buf.inserted_received == len(want)
-        assert buf.inserted_local == 0
+    ring = ReplayBuffer(cells, 1000)
+    ring.insert(np.eye(cells, dtype=int), rows)  # one own id each
+    sent = deliver(mask, rows, ring)
+    for receiver in range(cells):
+        # its own id, then sender, then user order
+        want = [rows[receiver]] + [
+            rows[sender] for sender in range(cells)
+            for user in range(users) if mask[sender, user, receiver]]
+        assert ring.counts[receiver] == len(want)
+        assert ring.slots[receiver, :len(want)].tolist() == want
+    assert ring.inserted_local == cells
+    assert ring.inserted_received == int(mask.sum())
     assert sent == {sender: int(mask[sender].sum())
                     for sender in range(cells) if mask[sender].any()}
 

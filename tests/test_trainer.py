@@ -13,7 +13,8 @@ from cellshare.environment import Environment
 from cellshare.errors import ContractViolation, TrainingFault
 from cellshare.metrics import network_sum_rate, read_csv, write_run_outputs
 from cellshare.qnet import QNetwork
-from cellshare.replay import TransitionTable, experience_scalars
+from cellshare.replay import (ReplayBuffer, TransitionTable,
+                              experience_scalars)
 from cellshare.training import RunArtifacts, evaluate, run_training
 
 
@@ -158,6 +159,31 @@ def test_ctde_agents_mirror_the_central_network():
         losses = [r.loss for r in rows]
         assert all(math.isnan(v) for v in losses) or \
             len({v for v in losses}) == 1
+
+
+def test_central_learner_takes_cells_in_cell_order(monkeypatch):
+    rings = []
+    insert = ReplayBuffer.insert
+
+    def record(ring, copies, rows, received=False):
+        rings.append(ring)
+        return insert(ring, copies, rows, received)
+
+    monkeypatch.setattr(ReplayBuffer, "insert", record)
+    cfg = small_run_config()
+    run_training(cfg, "ctde", seed=4)
+    steps = cfg.training.episodes * cfg.training.steps_per_episode
+    L, U = cfg.network.cells, cfg.network.users_per_cell
+    # one local insert per step into the one ring, and no deliveries
+    assert len(rings) == steps and all(r is rings[0] for r in rings)
+    ring = rings[0]
+    assert ring.slots.shape == (1, cfg.training.buffer_capacity)
+    # the table never wraps here, so step s's cell c is row s * L + c
+    want = [step * L + cell for step in range(steps)
+            for cell in range(L) for _user in range(U)]
+    assert ring.slots[0, :len(want)].tolist() == want
+    assert ring.inserted_local == len(want)
+    assert ring.inserted_received == 0
 
 
 def _rows_by_step(artifacts):
