@@ -222,6 +222,21 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
                 check(section, key, math.isfinite(value),
                       "%s must be finite" % key)
 
+    # a finite dB value's linear value can still overflow, and a noise
+    # floor or BS budget must not underflow to 0 mW
+    for attr in ("noise_dbm", "max_bs_power_dbm", "min_ue_power_dbm",
+                 "min_sinr_db", "interference_threshold_dbm"):
+        key, value = _FILE_KEYS.get(attr, attr), getattr(net, attr)
+        try:
+            linear = db_to_linear(value)
+        except OverflowError:
+            linear = math.inf
+        check("network", key, math.isinf(value) or math.isfinite(linear),
+              "%s overflows its linear value 10**(dB/10)" % key)
+    for key, linear in (("noise_power_dbm", net.noise_mw),
+                        ("max_bs_power_dbm", net.max_bs_power_mw)):
+        check("network", key, linear > 0, "%s underflows to 0 mW" % key)
+
     check("network", "cells", net.cells >= 1, "cells must be >= 1")
     check("network", "users_per_cell", net.users_per_cell >= 1,
           "users_per_cell must be >= 1")

@@ -165,6 +165,29 @@ def test_path_loss_out_of_range_is_a_config_error():
     validate_config(desk_config())
 
 
+def test_db_values_out_of_linear_range_are_config_errors():
+    # 10**(dB/10) overflows a float beyond about 3083 dB, and a noise
+    # floor or BS budget that underflows to 0 mW is no floor or budget
+    for key in ("noise_power_dbm", "max_bs_power_dbm", "min_ue_power_dbm",
+                "min_sinr_db", "interference_threshold_dbm"):
+        with pytest.raises(ConfigError,
+                           match="line 3: %s overflows its linear" % key):
+            parse_config("[network]\n\n%s = 4000\n" % key)
+    for key in ("noise_power_dbm", "max_bs_power_dbm"):
+        with pytest.raises(ConfigError,
+                           match="line 2: %s underflows to 0 mW" % key):
+            parse_config("[network]\n%s = -4000\n" % key)
+    cfg = default_config()
+    cfg.network.max_bs_power_dbm = 4000.0
+    with pytest.raises(ConfigError, match="^max_bs_power_dbm overflows"):
+        validate_config(cfg)
+    # a per-user floor of 0 mW is a valid floor
+    cfg = parse_config("[network]\nmin_ue_power_dbm = -4000\n")
+    assert cfg.network.min_ue_power_mw == 0.0
+    validate_config(default_config())
+    validate_config(desk_config())
+
+
 def test_desk_conf_is_the_defaults_with_six_overrides():
     expected = default_config()
     expected.network.antennas = 4
