@@ -186,13 +186,12 @@ def cmd_compare(args) -> int:
 
 
 def _parse_sinr_column(path: str) -> List[float]:
-    header, rows = metrics.read_csv(path)
+    header, rows = metrics.read_csv(path, numbered=True)
     if "sinr_db" not in header:
         raise IOError("%s: no sinr_db column in header %r" % (path, header))
     col = header.index("sinr_db")
     samples = []
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
+    for line_no, row in rows:
         if len(row) != len(header):
             raise IOError("%s: row %d has %d cells, expected %d"
                           % (path, line_no, len(row), len(header)))

@@ -116,14 +116,16 @@ def write_csv(path: str, header: Sequence[str],
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
+def read_csv(path: str, numbered: bool = False) -> Tuple[List[str], List]:
+    """Header and rows of a CSV file, blank lines skipped; with
+    ``numbered`` each row is a (file line, cells) pair."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        lines = [(n, ln.rstrip("\n").split(","))
+                 for n, ln in enumerate(fh, start=1) if ln.strip() != ""]
     if not lines:
         raise ContractViolation("%s: empty CSV" % path)
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return header, rows
+    rows = lines[1:] if numbered else [cells for _n, cells in lines[1:]]
+    return lines[0][1], rows
 
 
 def write_run_outputs(out_dir: str, log: MetricsLog, ledger_rows: List[Tuple],

@@ -124,8 +124,11 @@ def default_power_grid(config: NetworkConfig, step_db: float) -> np.ndarray:
         raise ContractViolation("power grid step must be positive")
     lo = config.min_ue_power_dbm
     hi = config.max_bs_power_dbm
-    n = int(np.floor((hi - lo) / step_db + 1e-12)) + 1
-    return lo + step_db * np.arange(n)
+    n = np.floor((hi - lo) / step_db + 1e-12) + 1
+    if n > GLOBAL_SEARCH_LIMIT:  # no search over it could run anyway
+        raise SearchSpaceError("power grid of %g levels exceeds limit %d"
+                               % (n, GLOBAL_SEARCH_LIMIT))
+    return lo + step_db * np.arange(int(n))
 
 
 def global_csi_search(channels: ChannelSet, power_grid_dbm: Sequence[float],

@@ -212,6 +212,12 @@ def test_ccdf_rejects_malformed_rows(tmp_path, capsys):
                  str(tmp_path / "out.csv")])
     assert code == EXIT_IO
     assert "row 3" in capsys.readouterr().err
+    # blank lines are skipped but still counted: the bad row is line 5
+    bad.write_text("episode,cell,ue,sinr_db\n\n0,0,0,4.2\n\n0,0,1,abc\n")
+    code = main(["ccdf", "--in", str(bad), "--out",
+                 str(tmp_path / "out.csv")])
+    assert code == EXIT_IO
+    assert "row 5: unparsable sinr_db 'abc'" in capsys.readouterr().err
     missing = main(["ccdf", "--in", str(tmp_path / "absent.csv"),
                     "--out", str(tmp_path / "out.csv")])
     assert missing == EXIT_IO
@@ -274,3 +280,20 @@ def test_oracle_search_snapshot(tmp_path):
     assert rows[0][0] == "4"
     assert float(rows[0][1]) > 0.0
     assert int(rows[0][3]) in (0, 1)
+
+
+def test_oracle_refuses_an_oversized_power_grid(tmp_path, capsys):
+    # a grid of more levels than the search limit fails the search
+    # anyway, so it is refused before it is built: 1e-300 dB would
+    # overflow np.arange and 1e-6 dB would fill hundreds of MB
+    cfg = tiny_config()
+    out = tmp_path / "oracle.csv"
+    for step in (1e-300, 1e-6):
+        cfg.oracle.power_step_db = step
+        code = main(["oracle", "--config", _config_file(tmp_path, cfg),
+                     "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: power grid of ")
+        assert "Traceback" not in err
+    assert not out.exists()
