@@ -227,10 +227,8 @@ def validate_config(cfg: RunConfig, source: str = "<config>",
     for attr in ("noise_dbm", "max_bs_power_dbm", "min_ue_power_dbm",
                  "min_sinr_db", "interference_threshold_dbm"):
         key, value = _FILE_KEYS.get(attr, attr), getattr(net, attr)
-        try:
-            linear = db_to_linear(value)
-        except OverflowError:
-            linear = math.inf
+        with np.errstate(over="ignore"):  # inf, not a float's OverflowError
+            linear = db_to_linear(np.float64(value))
         check("network", key, math.isinf(value) or math.isfinite(linear),
               "%s overflows its linear value 10**(dB/10)" % key)
     for key, linear in (("noise_power_dbm", net.noise_mw),

@@ -78,11 +78,10 @@ class ReplayBuffer:
         # each id's (learner, j) cell, learner by learner in j order
         learner, j = np.divmod(np.repeat(np.arange(copies.size),
                                          copies.ravel()), copies.shape[1])
-        flat = np.arange(total)
-        number = flat + (self.counts + taken - ends)[learner]
+        number = np.arange(total) + (self.counts + taken - ends)[learner]
         if total > self.capacity and taken.max() > self.capacity:
             # numpy does not say which of two writes to one slot wins
-            kept = flat >= (ends - self.capacity)[learner]
+            kept = number >= (self.counts + taken - self.capacity)[learner]
             learner, j, number = learner[kept], j[kept], number[kept]
         self.slots[learner, number % self.capacity] = rows[j]
         self.counts += taken

@@ -16,8 +16,7 @@ Five frameworks are supported by the trainer:
 
 ``BEHAVIOUR`` holds each one as plain data for the trainer: the share
 rule that returns a step's (sender, user, receiver) boolean mask of
-experiences to send (None: no exchange; never a cell to itself), which
-``deliver`` turns into one insert of row ids into the receivers' rings,
+experiences to send (None: no exchange; never a cell to itself),
 whether one central learner trains on every cell's rows (its weights
 broadcast by ``ctde_sync``) or each agent trains its own, and whether
 the agents train on ``crdu_reward``'s common reward. ``FRAMEWORKS``
@@ -106,11 +105,10 @@ def deliver(mask: np.ndarray, rows: np.ndarray,
             replay: ReplayBuffer) -> Dict[int, int]:
     """Insert the experiences ``mask`` selects into the receivers' rings.
 
-    ``rows[sender]`` is the sender's transition-table row for the step,
-    and receiver k is learner k of ``replay``. Each receiver takes its
-    experiences in sender, then user order, so runs are schedule
-    independent. Returns the number of experiences sent per sender that
-    sent any.
+    ``rows[sender]`` is the sender's transition-table row for the step;
+    receiver k is learner k of ``replay`` and takes its experiences in
+    sender, then user order, so runs are schedule independent. Returns
+    the number of experiences sent per sender that sent any.
     """
     counts = mask.sum(axis=1)  # (sender, receiver)
     replay.insert(counts.T, rows, received=True)

@@ -9,14 +9,13 @@ rule's (sender, user, receiver) mask of experiences is delivered as ids
 (the barrier), then the learner stack (one network per cell, or ctde's
 one central network) takes one stacked gradient step on one minibatch
 per ring, gated until every ring holds a batch, with its arrays in the
-run's one ``qnet.Workspace``. What differs between frameworks
-(own or common training reward, the share rule, the learners) comes
-from ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the
-step's share mask and that row. The environment advance is
-``Environment.step``. A non-finite loss ends the run with a
-``TrainingFault`` carrying the partial artifacts; its step changed no
-weight and is not counted in ``train_step_count``, and their
-``final_epsilon`` is the one it acted at.
+run's one ``qnet.Workspace``. What differs between frameworks (own or
+common training reward, the share rule, the learners) comes from
+``sharing.BEHAVIOUR``; each cell's ledger charge follows from the step's
+share mask and that row. The environment advance is ``Environment.step``.
+A non-finite loss ends the run with a ``TrainingFault`` carrying the
+partial artifacts; its step changed no weight and is not counted in
+``train_step_count``, and their ``final_epsilon`` is the one it acted at.
 """
 
 from __future__ import annotations
