@@ -155,8 +155,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
 
                 # --- train -----------------------------------------------
                 losses = [math.nan] * L
-                # capacity >= batch_size, so a ring this full can sample
-                if replay.counts.min() >= tr_cfg.batch_size:
+                if replay.counts.min() >= tr_cfg.batch_size:  # <= capacity
                     ids = replay.sample(tr_cfg.batch_size, sample_rngs)
                     step_losses = train_step(
                         learner, target, *table.batch(ids), tr_cfg.discount,
