@@ -62,15 +62,6 @@ def _load(config_path: Optional[str]) -> RunConfig:
     return load_config(config_path)
 
 
-def _final_quarter_mean(sumrate_rows: Sequence[Tuple[int, float]]) -> float:
-    """Mean sum-rate over the last quarter of training episodes."""
-    values = [row[1] for row in sumrate_rows]
-    if not values:
-        return math.nan
-    window = max(1, len(values) // 4)
-    return float(np.mean(values[-window:]))
-
-
 def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
                      overridden: bool, status: str) -> None:
     ledger = artifacts.ledger
@@ -86,7 +77,7 @@ def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
         "experiences_shared_total": ledger.experiences_total,
         "scalars_shared_total": ledger.scalars_total,
         "zero_share_fraction": ledger.zero_share_fraction(),
-        "final_quarter_sum_rate": _final_quarter_mean(
+        "final_quarter_sum_rate": metrics.final_quarter_sum_rate(
             artifacts.log.sumrate_rows),
     }
     metrics.write_run_outputs(out_dir, artifacts.log, ledger.rows, info)
@@ -126,7 +117,7 @@ def _summary_row(framework: str, seed: int,
                         seed + EVAL_SEED_OFFSET)
     sinr_values = [row[3] for row in eval_log.sinr_rows]
     return (framework, seed,
-            _final_quarter_mean(artifacts.log.sumrate_rows),
+            metrics.final_quarter_sum_rate(artifacts.log.sumrate_rows),
             float(np.mean(sinr_values)) if sinr_values else math.nan,
             artifacts.ledger.scalars_total,
             artifacts.ledger.zero_share_fraction(), "ok")

@@ -42,15 +42,15 @@ class MetricsLog:
     sinr_rows: List[Tuple[int, int, int, float]] = field(default_factory=list)
     sumrate_rows: List[Tuple[int, float]] = field(default_factory=list)
 
-    def add_episode(self, episode: int, effective_sinr: np.ndarray,
-                    sum_rate: float) -> None:
+    def add_episode(self, episode: int, effective_sinr: np.ndarray) -> None:
+        """Log an episode's (L, U) linear SINRs and their sum-rate."""
         cells, users = effective_sinr.shape
         for ell in range(cells):
             for u in range(users):
                 value = effective_sinr[ell, u]
                 db = 10.0 * math.log10(value) if value > 0 else -math.inf
                 self.sinr_rows.append((episode, ell, u, db))
-        self.sumrate_rows.append((episode, float(sum_rate)))
+        self.sumrate_rows.append((episode, network_sum_rate(effective_sinr)))
 
 
 def network_sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
@@ -60,11 +60,12 @@ def network_sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
     return float(rates) if rates.ndim == 0 else rates
 
 
-def sum_rate_metric(log: MetricsLog) -> float:
-    """Average per-episode network sum-rate."""
-    if not log.sumrate_rows:
-        raise ContractViolation("metrics log holds no episodes")
-    return float(np.mean([row[1] for row in log.sumrate_rows]))
+def final_quarter_sum_rate(sumrate_rows: Sequence[Tuple]) -> float:
+    """Mean sum-rate over the last quarter of the episodes (at least
+    one): the run's reported sum-rate; NaN when there are none."""
+    window = max(1, len(sumrate_rows) // 4)
+    rates = [rate for _episode, rate in sumrate_rows[-window:]]
+    return float(np.mean(rates)) if rates else math.nan
 
 
 def ccdf(samples_db: Sequence[float], grid: Sequence[float]

@@ -44,12 +44,10 @@ from .replay import ReplayBuffer
 
 @dataclass
 class OverheadLedger:
-    """Per-(step, agent) transmission counts plus running totals."""
+    """Per-(step, agent) transmission counts; totals are sums of them."""
 
     # one (step, agent, experiences, scalars) int row per agent and step
     rows: List[Tuple[int, int, int, int]] = field(default_factory=list)
-    experiences_total: int = 0
-    scalars_total: int = 0
 
     def record_step(self, step: int, experiences: np.ndarray,
                     scalars: np.ndarray) -> None:
@@ -60,8 +58,9 @@ class OverheadLedger:
         self.rows.extend(
             (step, agent, n_exp, n_scal) for agent, (n_exp, n_scal)
             in enumerate(zip(experiences, scalars)))
-        self.experiences_total += sum(experiences)
-        self.scalars_total += sum(scalars)
+
+    experiences_total = property(lambda self: sum(r[2] for r in self.rows))
+    scalars_total = property(lambda self: sum(r[3] for r in self.rows))
 
     def zero_share_fraction(self) -> float:
         """Share of rows that sent nothing; NaN for an empty ledger."""

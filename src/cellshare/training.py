@@ -30,7 +30,7 @@ from . import control, sharing
 from .config import RunConfig, validate_config
 from .environment import Environment
 from .errors import ContractViolation, TrainingFault
-from .metrics import MetricsLog, StepRow, network_sum_rate
+from .metrics import MetricsLog, StepRow
 from .qnet import QNetwork, Workspace, select_action, train_step
 from .replay import ReplayBuffer, TransitionTable, experience_scalars
 from .sharing import OverheadLedger
@@ -161,7 +161,6 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                         learner, target, *table.batch(ids), tr_cfg.discount,
                         tr_cfg.learning_rate, workspace)
                     train_steps += 1
-                    artifacts.train_step_count += len(learner)
                     if train_steps % tr_cfg.target_refresh_steps == 0:
                         target.load_from(learner)
                     losses = step_losses[owner].tolist()
@@ -174,15 +173,14 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                           sent.tolist(), received)
                 states = next_states
 
-            log.add_episode(episode, result.sinr,  # the last step's SINRs
-                            network_sum_rate(result.sinr))
+            log.add_episode(episode, result.sinr)  # the last step's SINRs
             epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
     except TrainingFault as fault:
-        artifacts.final_epsilon = epsilon
         fault.artifacts = artifacts
         raise
-
-    artifacts.final_epsilon = epsilon
+    finally:
+        artifacts.train_step_count = train_steps * len(learner)
+        artifacts.final_epsilon = epsilon
     return artifacts
 
 
@@ -206,5 +204,5 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
                                             dummy_rngs, acting))
             _log_step(log, episode, t, result.rewards, [math.nan] * L, 0.0,
                       [0] * L, [0] * L)
-        log.add_episode(episode, result.sinr, network_sum_rate(result.sinr))
+        log.add_episode(episode, result.sinr)
     return log

@@ -7,6 +7,7 @@ scale (two cells, three users, 200 episodes of 50 steps) training runs
 are cached module-wide because several criteria examine the same runs.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -28,7 +29,7 @@ from cellshare.channel import beam_codebook, matched_beams, sample_channels
 from cellshare.cli import main
 from cellshare.config import dump_config
 from cellshare.geometry import build_layout, spawn_users
-from cellshare.metrics import MetricsLog, ccdf, sum_rate_metric
+from cellshare.metrics import MetricsLog, ccdf, final_quarter_sum_rate
 from cellshare.oracle import brute_force_step, evaluate_configuration
 from cellshare.physics import measure_inter_cell, received_powers, sinr
 from cellshare.qnet import QNetwork, loss_and_gradients, q_forward
@@ -72,15 +73,10 @@ def _desk_run(framework: str, seed: int, thr_dbm=None) -> _DeskRun:
     return _DESK_CACHE[key]
 
 
-def _final_quarter(sumrate_rows) -> float:
-    values = [row[1] for row in sumrate_rows]
-    window = max(1, len(values) // 4)
-    return float(np.mean(values[-window:]))
-
-
 def _framework_mean(framework: str, seeds) -> float:
-    return float(np.mean([_final_quarter(_desk_run(framework, s).sumrate_rows)
-                          for s in seeds]))
+    return float(np.mean([
+        final_quarter_sum_rate(_desk_run(framework, s).sumrate_rows)
+        for s in seeds]))
 
 
 def test_criterion_01_interference_measurement_identity():
@@ -254,11 +250,21 @@ def test_criterion_08_oracle_gap():
 
 def test_criterion_09_metric_recomputation():
     t0 = time.monotonic()
+    # the reported metric: each episode's sum-rate as the log derives it
+    # from the episode's SINRs, and the final-quarter mean of those
+    sinrs = np.random.default_rng(9).exponential(10.0, size=(8, 2, 3))
+    sinrs[0, 1, 2] = 0.0  # a user with zero received power
     log = MetricsLog()
-    rates = [3.0, 1.0, 0.5, 2.5]
-    for episode, rate in enumerate(rates):
-        log.add_episode(episode, np.array([[1.0, 3.0]]), rate)
-    metric_err = abs(sum_rate_metric(log) - sum(rates) / len(rates))
+    for episode, sinr in enumerate(sinrs):
+        log.add_episode(episode, sinr)
+    rates = [sum(math.log2(1.0 + g) for g in sinr.ravel().tolist())
+             for sinr in sinrs]
+    logged = [rate for _episode, rate in log.sumrate_rows]
+    metric_err = max(abs(got - want) for got, want in zip(logged, rates))
+    last_quarter = rates[-(len(rates) // 4):]
+    metric_err = max(metric_err, abs(
+        final_quarter_sum_rate(log.sumrate_rows)
+        - sum(last_quarter) / len(last_quarter)))
 
     samples = [0.0, 10.0, 20.0]
     grid = [5.0, 15.0]
@@ -268,10 +274,11 @@ def test_criterion_09_metric_recomputation():
         manual = sum(1 for s in samples if s > threshold) / len(samples)
         ccdf_err = max(ccdf_err, abs(fraction - manual))
     elapsed = time.monotonic() - t0
-    ok = metric_err <= 1e-12 and ccdf_err <= 1e-12 and elapsed < 1.0
+    ok = (len(logged) == len(rates) and metric_err <= 1e-12
+          and ccdf_err <= 1e-12 and elapsed < 1.0)
     line = _report(9, ok,
-                   "sum-rate metric error %.1e, ccdf error %.1e "
-                   "(both <= 1e-12), %.2f s (< 1 s)"
+                   "episode and final-quarter sum-rate error %.1e, ccdf "
+                   "error %.1e (both <= 1e-12), %.2f s (< 1 s)"
                    % (metric_err, ccdf_err, elapsed))
     assert ok, line
 

@@ -67,7 +67,6 @@ def test_src_runs_on_numpy_alone():
 
 # Public names kept although nothing in src/ or perfbench/ reads them.
 KEEP_UNREAD = {
-    "sum_rate_metric": "the quantity criterion 9 checks",
     "q_forward": "criterion 08's greedy reference",
     "loss_and_gradients": "criterion 03's gradient check",
     "central_net": "ctde's learner, inspected by tests and artifact_digests",

@@ -12,10 +12,10 @@ from cellshare.metrics import (
     StepRow,
     ccdf,
     ccdf_grid,
+    final_quarter_sum_rate,
     format_cell,
     network_sum_rate,
     read_csv,
-    sum_rate_metric,
     write_csv,
     write_run_outputs,
 )
@@ -33,22 +33,21 @@ def test_network_sum_rate_hand_values():
     assert batch.tolist() == [network_sum_rate(one) for one in sinrs]
 
 
-def test_sum_rate_metric_averages_episodes():
-    log = MetricsLog()
-    log.add_episode(0, np.array([[1.0, 3.0]]),
-                    network_sum_rate([[1.0, 3.0]]))
-    log.add_episode(1, np.array([[0.0, 1.0]]),
-                    network_sum_rate([[0.0, 1.0]]))
-    assert sum_rate_metric(log) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ContractViolation):
-        sum_rate_metric(MetricsLog())
+def test_final_quarter_sum_rate_averages_the_last_quarter():
+    rows = list(enumerate([9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 4.0]))
+    assert final_quarter_sum_rate(rows) == 3.0  # the last 9 // 4 = 2
+    assert final_quarter_sum_rate(rows[:3]) == 9.0  # at least one
+    assert math.isnan(final_quarter_sum_rate([]))
 
 
 def test_add_episode_records_sinr_in_db():
     log = MetricsLog()
-    log.add_episode(3, np.array([[10.0, 0.0], [1.0, 100.0]]), 1.0)
+    sinr = np.array([[10.0, 0.0], [1.0, 100.0]])
+    log.add_episode(3, sinr)
     assert log.sinr_rows == [(3, 0, 0, 10.0), (3, 0, 1, -math.inf),
                              (3, 1, 0, 0.0), (3, 1, 1, 20.0)]
+    assert log.sumrate_rows == [(3, network_sum_rate(sinr))]
+    assert type(log.sumrate_rows[0][1]) is float
 
 
 def test_ccdf_is_strictly_greater():
@@ -112,7 +111,7 @@ def test_write_run_outputs_creates_artifacts(tmp_path):
     log.step_rows.append(StepRow(episode=0, step=0, agent=0, reward=2.0,
                                  loss=float("nan"), epsilon=1.0,
                                  shared_tx=1, shared_rx=0))
-    log.add_episode(0, np.array([[1.0, 3.0]]), 3.0)
+    log.add_episode(0, np.array([[1.0, 3.0]]))
     out = tmp_path / "run"
     write_run_outputs(str(out), log, [(0, 0, 1, 27)], {"seed": 7})
     for name in ("metrics.csv", "sinr_samples.csv", "sumrate.csv",
