@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__, metrics, oracle, sharing
 from .config import (RunConfig, default_config, dump_config, load_config,
                      resolved_dict, validate_config)
-from .errors import CellshareError, ConfigError, TrainingFault
+from .errors import (CellshareError, ConfigError, ContractViolation,
+                     TrainingFault)
 from .environment import Environment
 from .training import RunArtifacts, evaluate, run_training
 
@@ -34,7 +35,6 @@ EVAL_SEED_OFFSET = 9973
 
 SUMMARY_HEADER = ("framework", "seed", "final_sum_rate", "mean_eval_sinr_db",
                   "overhead_scalars", "zero_share_fraction", "status")
-ORACLE_FIXED_COLUMNS = ("sum_rate",)
 
 
 def _resolve_seed(cli_seed: int) -> Tuple[int, bool]:
@@ -177,7 +177,7 @@ def cmd_compare(args) -> int:
 
 
 def _parse_sinr_column(path: str) -> List[float]:
-    header, rows = metrics.read_csv(path, numbered=True)
+    header, rows = metrics.read_csv(path)
     if "sinr_db" not in header:
         raise IOError("%s: no sinr_db column in header %r" % (path, header))
     col = header.index("sinr_db")
@@ -189,6 +189,8 @@ def _parse_sinr_column(path: str) -> List[float]:
         try:
             samples.append(float(row[col]))
         except ValueError:
+            samples.append(math.nan)
+        if math.isnan(samples[-1]):  # no run writes NaN; -inf is valid
             raise IOError("%s: row %d: unparsable sinr_db %r"
                           % (path, line_no, row[col]))
     if not samples:
@@ -200,7 +202,10 @@ def cmd_ccdf(args) -> int:
     if not os.path.isfile(args.input):
         raise IOError("input file not found: %s" % args.input)
     samples = _parse_sinr_column(args.input)
-    grid = metrics.ccdf_grid(samples)
+    try:
+        grid = metrics.ccdf_grid(samples)
+    except ContractViolation as err:
+        raise IOError("%s: %s" % (args.input, err))
     rows = metrics.ccdf(samples, grid)
     metrics.write_csv(args.out, ("threshold_db", "fraction"), rows)
     return EXIT_OK
@@ -216,7 +221,7 @@ def cmd_oracle(args) -> int:
     grid = oracle.default_power_grid(net_cfg, cfg.oracle.power_step_db)
     powers, beams, rate = oracle.global_csi_search(env.channels, grid,
                                                    env.codebook, net_cfg)
-    header: List[str] = ["seed"] + list(ORACLE_FIXED_COLUMNS)
+    header = ["seed", "sum_rate"]
     row: List = [seed, rate]
     for ell in range(net_cfg.cells):
         for u in range(net_cfg.users_per_cell):

@@ -188,9 +188,11 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config(text, source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read(), source=path)
+    except UnicodeDecodeError as err:
+        raise ConfigError("%s: not UTF-8 text: %s" % (path, err))
 
 
 def validate_config(cfg: RunConfig, source: str = "<config>",

@@ -29,9 +29,7 @@ class MeasurementError(CellshareError):
 class TrainingFault(CellshareError):
     """Training aborted (non-finite loss/reward). Carries partial results."""
 
-    def __init__(self, message, artifacts=None):
-        super().__init__(message)
-        self.artifacts = artifacts
+    artifacts = None
 
 
 class SearchSpaceError(CellshareError):

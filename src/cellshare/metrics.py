@@ -22,6 +22,8 @@ METRICS_HEADER = ("episode", "step", "agent", "reward", "loss", "epsilon",
 SINR_HEADER = ("episode", "cell", "ue", "sinr_db")
 SUMRATE_HEADER = ("episode", "sum_rate")
 OVERHEAD_HEADER = ("step", "agent", "experiences_tx", "scalars_tx")
+# 1 dB levels a CCDF grid may span; SINRs span a few hundred dB
+CCDF_GRID_LIMIT = 10 ** 5
 
 
 class StepRow(NamedTuple):
@@ -71,14 +73,11 @@ def final_quarter_sum_rate(sumrate_rows: Sequence[Tuple]) -> float:
 def ccdf(samples_db: Sequence[float], grid: Sequence[float]
          ) -> List[Tuple[float, float]]:
     """Fraction of samples strictly above each threshold."""
-    samples = np.asarray(list(samples_db), dtype=float)
-    if samples.size == 0:
-        raise ContractViolation("ccdf needs at least one sample")
-    out = []
-    for threshold in grid:
-        frac = float(np.mean(samples > threshold))
-        out.append((float(threshold), frac))
-    return out
+    s = np.sort(np.asarray(list(samples_db), dtype=float))
+    if s.size == 0 or np.isnan(s[-1]):  # a sort puts NaN last
+        raise ContractViolation("ccdf needs samples, none of them NaN")
+    fractions = (s.size - np.searchsorted(s, grid, side="right")) / s.size
+    return list(zip(map(float, grid), fractions.tolist()))
 
 
 def ccdf_grid(samples_db: Sequence[float]) -> np.ndarray:
@@ -86,7 +85,7 @@ def ccdf_grid(samples_db: Sequence[float]) -> np.ndarray:
 
     The span covers the finite samples only; a -inf sample (a user with
     zero received power) still counts in the fractions but cannot anchor
-    an integer grid.
+    an integer grid. One of over ``CCDF_GRID_LIMIT`` levels is refused.
     """
     samples = np.asarray(list(samples_db), dtype=float)
     samples = samples[np.isfinite(samples)]
@@ -94,6 +93,9 @@ def ccdf_grid(samples_db: Sequence[float]) -> np.ndarray:
         raise ContractViolation("ccdf needs at least one finite sample")
     lo = math.floor(float(samples.min()))
     hi = math.ceil(float(samples.max()))
+    if hi - lo + 1 > CCDF_GRID_LIMIT:
+        raise ContractViolation("ccdf grid of %d levels exceeds limit %d"
+                                % (hi - lo + 1, CCDF_GRID_LIMIT))
     return np.arange(lo, hi + 1, dtype=float)
 
 
@@ -117,16 +119,18 @@ def write_csv(path: str, header: Sequence[str],
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path: str, numbered: bool = False) -> Tuple[List[str], List]:
-    """Header and rows of a CSV file, blank lines skipped; with
-    ``numbered`` each row is a (file line, cells) pair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n").split(","))
-                 for n, ln in enumerate(fh, start=1) if ln.strip() != ""]
+def read_csv(path: str) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
+    """Header and rows of a UTF-8 CSV file, blank lines skipped; each
+    row is a (file line, cells) pair."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.rstrip("\n").split(","))
+                     for n, ln in enumerate(fh, start=1) if ln.strip() != ""]
+    except UnicodeDecodeError as err:
+        raise IOError("%s: not UTF-8 text: %s" % (path, err))
     if not lines:
         raise ContractViolation("%s: empty CSV" % path)
-    rows = lines[1:] if numbered else [cells for _n, cells in lines[1:]]
-    return lines[0][1], rows
+    return lines[0][1], lines[1:]
 
 
 def write_run_outputs(out_dir: str, log: MetricsLog, ledger_rows: List[Tuple],

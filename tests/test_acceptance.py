@@ -25,10 +25,10 @@ from conftest import (
 )
 
 from cellshare import control
-from cellshare.channel import beam_codebook, matched_beams, sample_channels
+from cellshare.channel import beam_codebook, matched_beams
 from cellshare.cli import main
 from cellshare.config import dump_config
-from cellshare.geometry import build_layout, spawn_users
+from cellshare.environment import Environment
 from cellshare.metrics import MetricsLog, ccdf, final_quarter_sum_rate
 from cellshare.oracle import brute_force_step, evaluate_configuration
 from cellshare.physics import measure_inter_cell, received_powers, sinr
@@ -213,31 +213,18 @@ def test_criterion_08_oracle_gap():
     net_cfg = cfg.network
     artifacts = run_training(cfg, "share-nothing", seed=3)
 
-    # rebuild the exact episode start the run trained from
-    children = np.random.SeedSequence(3).spawn(2 + 3 * net_cfg.cells + 2)
-    users_rng = np.random.default_rng(children[0])
-    channel_rng = np.random.default_rng(children[1])
-    layout = build_layout(net_cfg.cells, net_cfg.inter_site_distance)
-    users = spawn_users(layout, net_cfg.users_per_cell, net_cfg.cell_radius,
-                        users_rng)
-    channels = sample_channels(layout, users, net_cfg, channel_rng)
-    codebook = beam_codebook(net_cfg.antennas, net_cfg.codebook_bits)
-    powers = np.tile(control.initial_powers_dbm(net_cfg), (net_cfg.cells, 1))
-    beams = matched_beams(channels, codebook)
-    offsets = users.offsets(layout)
-
-    new_powers = powers.copy()
-    new_beams = beams.copy()
-    for ell in range(net_cfg.cells):
-        state = control.encode_state(powers[ell], beams[ell], offsets[ell],
-                                     net_cfg)
-        action = int(np.argmax(q_forward(artifacts.agent_nets[ell], state)))
-        new_powers[ell], new_beams[ell] = control.apply_joint_action(
-            action, powers[ell], beams[ell], net_cfg)
-    agent_rate = evaluate_configuration(channels, new_powers, new_beams,
-                                        net_cfg, codebook)
-    _, best_rate = brute_force_step(channels, powers, beams, net_cfg,
-                                    codebook)
+    # the run's first episode start: its environment takes the first two
+    # children of the run's seed for its user and channel streams
+    env = Environment(net_cfg, np.random.SeedSequence(3))
+    env.reset()
+    actions = [int(np.argmax(q_forward(artifacts.agent_nets[ell], state)))
+               for ell, state in enumerate(env.states())]
+    new_powers, new_beams = control.apply_joint_action(
+        actions, env.powers_dbm, env.beams, net_cfg)
+    agent_rate = evaluate_configuration(env.channels, new_powers, new_beams,
+                                        net_cfg, env.codebook)
+    _, best_rate = brute_force_step(env.channels, env.powers_dbm, env.beams,
+                                    net_cfg, env.codebook)
     ratio = agent_rate / best_rate
     elapsed = time.monotonic() - t0
     ok = ratio >= 0.80 and elapsed < 120.0

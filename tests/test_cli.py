@@ -174,8 +174,9 @@ def test_aborted_run_reports_the_epsilon_it_stopped_at(tmp_path):
     info = json.loads((out / "run.json").read_text())
     assert info["status"].startswith("aborted")
     header, rows = read_csv(str(out / "metrics.csv"))
-    assert rows[-1][header.index("episode")] == "1"
-    last = float(rows[-1][header.index("epsilon")])
+    _line, last_row = rows[-1]
+    assert last_row[header.index("episode")] == "1"
+    last = float(last_row[header.index("epsilon")])
     assert last == cfg.training.epsilon_start * cfg.training.epsilon_decay
     assert info["final_epsilon"] == last
 
@@ -199,6 +200,7 @@ def test_ccdf_fractions(tmp_path):
     out = tmp_path / "ccdf.csv"
     assert main(["ccdf", "--in", str(samples), "--out", str(out)]) == EXIT_OK
     header, rows = read_csv(str(out))
+    rows = [cells for _line, cells in rows]
     assert header == ["threshold_db", "fraction"]
     assert rows[0] == ["4", "1"]
     assert ["5", "0.666666666667"] in rows
@@ -223,6 +225,53 @@ def test_ccdf_rejects_malformed_rows(tmp_path, capsys):
     assert missing == EXIT_IO
 
 
+def test_ccdf_refuses_samples_it_cannot_place_on_a_grid(tmp_path, capsys):
+    # no run writes a NaN sample, a 1 dB grid up to 1e9 dB would need
+    # gigabytes and -inf samples alone span no grid: each is refused,
+    # naming the file, and nothing is written; an infinite sample is valid
+    bad = tmp_path / "bad.csv"
+    out = tmp_path / "out.csv"
+    for samples, message in (("4.2,nan", "row 3: unparsable sinr_db 'nan'"),
+                             ("0,1e9", "ccdf grid of 1000000001 levels "
+                                       "exceeds limit"),
+                             ("0,1e18", "exceeds limit"),
+                             ("-inf,-inf", "at least one finite sample")):
+        bad.write_text("episode,cell,ue,sinr_db\n" + "".join(
+            "0,0,%d,%s\n" % (u, value)
+            for u, value in enumerate(samples.split(","))))
+        assert main(["ccdf", "--in", str(bad), "--out", str(out)]) \
+            == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: %s: " % bad) and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    bad.write_text("episode,cell,ue,sinr_db\n0,0,0,inf\n0,0,1,-inf\n"
+                   "0,0,2,4.2\n")
+    assert main(["ccdf", "--in", str(bad), "--out", str(out)]) == EXIT_OK
+    _header, rows = read_csv(str(out))
+    assert [cells for _line, cells in rows] == [["4", "0.666666666667"],
+                                                ["5", "0.333333333333"]]
+
+
+def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, capsys):
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"[network]\ncells = 2\xff\n")
+    for command in ("print-config", "train", "compare", "oracle"):
+        argv = [command, "--config", str(binary)]
+        if command != "print-config":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: not UTF-8 text" % binary)
+    binary.write_bytes(b"episode,cell,ue,sinr_db\n0,0,0,\xff\n")
+    assert main(["ccdf", "--in", str(binary), "--out",
+                 str(tmp_path / "out.csv")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "i/o error: %s: not UTF-8 text" % binary)
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_compare_writes_summary_and_run_dirs(tmp_path):
     conf = _config_file(tmp_path, small_run_config())
     out = tmp_path / "sweep"
@@ -230,6 +279,7 @@ def test_compare_writes_summary_and_run_dirs(tmp_path):
                  "share-nothing,crdu", "--seeds", "1", "--out", str(out)])
     assert code == EXIT_OK
     header, rows = read_csv(str(out / "summary.csv"))
+    rows = [cells for _line, cells in rows]
     assert header == list(SUMMARY_HEADER)
     # one seed row plus mean/std aggregates per framework
     assert len(rows) == 2 * 3
@@ -276,10 +326,10 @@ def test_oracle_search_snapshot(tmp_path):
     assert header == ["seed", "sum_rate",
                       "power_dbm_c0u0", "beam_c0u0",
                       "power_dbm_c1u0", "beam_c1u0"]
-    assert len(rows) == 1
-    assert rows[0][0] == "4"
-    assert float(rows[0][1]) > 0.0
-    assert int(rows[0][3]) in (0, 1)
+    [(_line, row)] = rows
+    assert row[0] == "4"
+    assert float(row[1]) > 0.0
+    assert int(row[3]) in (0, 1)
 
 
 def test_oracle_refuses_an_oversized_power_grid(tmp_path, capsys):

@@ -10,6 +10,7 @@ from cellshare.metrics import (
     METRICS_HEADER,
     MetricsLog,
     StepRow,
+    CCDF_GRID_LIMIT,
     ccdf,
     ccdf_grid,
     final_quarter_sum_rate,
@@ -55,6 +56,19 @@ def test_ccdf_is_strictly_greater():
     assert values == [(0.0, 0.75), (1.0, 0.25), (2.0, 0.25), (3.0, 0.0)]
     with pytest.raises(ContractViolation):
         ccdf([], [0.0])
+    with pytest.raises(ContractViolation):
+        ccdf([1.0, math.nan], [0.0])
+
+
+def test_ccdf_equals_the_per_threshold_count():
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        samples = rng.normal(0.0, 20.0, size=int(rng.integers(1, 60)))
+        samples[rng.random(samples.size) < 0.1] = -math.inf
+        samples[rng.random(samples.size) < 0.05] = math.inf
+        grid = np.arange(-60.0, 61.0)
+        expected = [(float(t), float(np.mean(samples > t))) for t in grid]
+        assert ccdf(samples, grid) == expected
 
 
 def test_ccdf_is_nonincreasing():
@@ -77,6 +91,13 @@ def test_ccdf_grid_spans_finite_samples():
         ccdf_grid([-math.inf])
 
 
+def test_ccdf_grid_refuses_more_levels_than_its_limit():
+    assert len(ccdf_grid([0.0, CCDF_GRID_LIMIT - 1.0])) == CCDF_GRID_LIMIT
+    for high in (CCDF_GRID_LIMIT, 1e9, 1e18, 1e308):
+        with pytest.raises(ContractViolation, match="exceeds limit"):
+            ccdf_grid([0.0, high])
+
+
 def test_format_cell_canonical_forms():
     assert format_cell(2.0 / 3.0) == "0.666666666667"
     assert format_cell(1e-11) == "1e-11"
@@ -94,8 +115,9 @@ def test_csv_round_trip_is_byte_stable(tmp_path):
     write_csv(str(first), METRICS_HEADER, rows)
     header, parsed = read_csv(str(first))
     assert header == list(METRICS_HEADER)
+    assert [line for line, _cells in parsed] == [2, 3]
     second = tmp_path / "second.csv"
-    write_csv(str(second), header, parsed)
+    write_csv(str(second), header, [cells for _line, cells in parsed])
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -104,6 +126,13 @@ def test_read_csv_rejects_empty(tmp_path):
     empty.write_text("")
     with pytest.raises(ContractViolation):
         read_csv(str(empty))
+
+
+def test_read_csv_refuses_non_utf8_as_io_error(tmp_path):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"episode,cell,ue,sinr_db\n0,0,0,\xff\n")
+    with pytest.raises(IOError, match="binary.csv: not UTF-8"):
+        read_csv(str(binary))
 
 
 def test_write_run_outputs_creates_artifacts(tmp_path):
@@ -118,5 +147,5 @@ def test_write_run_outputs_creates_artifacts(tmp_path):
                  "overhead.csv", "run.json"):
         assert (out / name).is_file()
     header, rows = read_csv(str(out / "overhead.csv"))
-    assert rows == [["0", "0", "1", "27"]]
+    assert rows == [(2, ["0", "0", "1", "27"])]
     assert (out / "run.json").read_text().startswith("{")

@@ -246,7 +246,7 @@ def test_overhead_rows_match_the_closed_form(framework, tmp_path):
     write_run_outputs(str(tmp_path), artifacts.log, artifacts.ledger.rows,
                       {})
     _header, rows = read_csv(str(tmp_path / "overhead.csv"))
-    rows = [tuple(int(v) for v in row) for row in rows]
+    rows = [tuple(int(v) for v in cells) for _line, cells in rows]
     L, U = cfg.network.cells, cfg.network.users_per_cell
     E = experience_scalars(U)
     steps = cfg.training.episodes * cfg.training.steps_per_episode
@@ -279,7 +279,7 @@ def test_share_nothing_has_zero_overhead():
                for r in artifacts.log.step_rows)
 
 
-def test_sumrate_modes_agree_with_step_sinrs(monkeypatch):
+def test_episode_sum_rate_is_its_last_step_sinrs(monkeypatch):
     env_step = Environment.step
     step_sinrs = []
 
