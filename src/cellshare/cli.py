@@ -35,6 +35,7 @@ EVAL_SEED_OFFSET = 9973
 
 SUMMARY_HEADER = ("framework", "seed", "final_sum_rate", "mean_eval_sinr_db",
                   "overhead_scalars", "zero_share_fraction", "status")
+ORACLE_FIXED_COLUMNS = ("sum_rate",)
 
 
 def _resolve_seed(cli_seed: int) -> Tuple[int, bool]:
@@ -221,7 +222,7 @@ def cmd_oracle(args) -> int:
     grid = oracle.default_power_grid(net_cfg, cfg.oracle.power_step_db)
     powers, beams, rate = oracle.global_csi_search(env.channels, grid,
                                                    env.codebook, net_cfg)
-    header = ["seed", "sum_rate"]
+    header: List[str] = ["seed"] + list(ORACLE_FIXED_COLUMNS)
     row: List = [seed, rate]
     for ell in range(net_cfg.cells):
         for u in range(net_cfg.users_per_cell):

@@ -94,8 +94,8 @@ def ccdf_grid(samples_db: Sequence[float]) -> np.ndarray:
     lo = math.floor(float(samples.min()))
     hi = math.ceil(float(samples.max()))
     if hi - lo + 1 > CCDF_GRID_LIMIT:
-        raise ContractViolation("ccdf grid of %d levels exceeds limit %d"
-                                % (hi - lo + 1, CCDF_GRID_LIMIT))
+        raise ContractViolation("ccdf grid from %g to %g dB exceeds %d levels"
+                                % (lo, hi, CCDF_GRID_LIMIT))
     return np.arange(lo, hi + 1, dtype=float)
 
 

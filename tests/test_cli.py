@@ -232,9 +232,9 @@ def test_ccdf_refuses_samples_it_cannot_place_on_a_grid(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     out = tmp_path / "out.csv"
     for samples, message in (("4.2,nan", "row 3: unparsable sinr_db 'nan'"),
-                             ("0,1e9", "ccdf grid of 1000000001 levels "
-                                       "exceeds limit"),
-                             ("0,1e18", "exceeds limit"),
+                             ("0,1e9", "ccdf grid from 0 to 1e+09 dB "
+                                       "exceeds 100000 levels"),
+                             ("-1e308,1e308", "exceeds 100000 levels"),
                              ("-inf,-inf", "at least one finite sample")):
         bad.write_text("episode,cell,ue,sinr_db\n" + "".join(
             "0,0,%d,%s\n" % (u, value)
