@@ -73,11 +73,11 @@ def final_quarter_sum_rate(sumrate_rows: Sequence[Tuple]) -> float:
 def ccdf(samples_db: Sequence[float], grid: Sequence[float]
          ) -> List[Tuple[float, float]]:
     """Fraction of samples strictly above each threshold."""
-    s = np.sort(np.asarray(list(samples_db), dtype=float))
-    if s.size == 0 or np.isnan(s[-1]):  # a sort puts NaN last
+    samples = np.sort(np.asarray(list(samples_db), dtype=float))
+    if samples.size == 0 or np.isnan(samples[-1]):  # a sort puts NaN last
         raise ContractViolation("ccdf needs samples, none of them NaN")
-    fractions = (s.size - np.searchsorted(s, grid, side="right")) / s.size
-    return list(zip(map(float, grid), fractions.tolist()))
+    above = samples.size - np.searchsorted(samples, grid, side="right")
+    return list(zip(map(float, grid), (above / samples.size).tolist()))
 
 
 def ccdf_grid(samples_db: Sequence[float]) -> np.ndarray:
