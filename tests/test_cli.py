@@ -220,6 +220,12 @@ def test_ccdf_rejects_malformed_rows(tmp_path, capsys):
                  str(tmp_path / "out.csv")])
     assert code == EXIT_IO
     assert "row 5: unparsable sinr_db 'abc'" in capsys.readouterr().err
+    bad.write_bytes(b"episode,cell,ue,sinr_db\n0,0,0,\xff\n")
+    code = main(["ccdf", "--in", str(bad), "--out",
+                 str(tmp_path / "out.csv")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "i/o error: %s: not UTF-8 text" % bad)
     missing = main(["ccdf", "--in", str(tmp_path / "absent.csv"),
                     "--out", str(tmp_path / "out.csv")])
     assert missing == EXIT_IO
@@ -253,23 +259,18 @@ def test_ccdf_refuses_samples_it_cannot_place_on_a_grid(tmp_path, capsys):
                                                 ["5", "0.333333333333"]]
 
 
-def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, capsys):
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     binary = tmp_path / "binary.conf"
     binary.write_bytes(b"[network]\ncells = 2\xff\n")
+    out = tmp_path / "out"
     for command in ("print-config", "train", "compare", "oracle"):
         argv = [command, "--config", str(binary)]
         if command != "print-config":
-            argv += ["--out", str(tmp_path / "out")]
+            argv += ["--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: %s: not UTF-8 text" % binary)
-    binary.write_bytes(b"episode,cell,ue,sinr_db\n0,0,0,\xff\n")
-    assert main(["ccdf", "--in", str(binary), "--out",
-                 str(tmp_path / "out.csv")]) == EXIT_IO
-    assert capsys.readouterr().err.startswith(
-        "i/o error: %s: not UTF-8 text" % binary)
-    assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "out.csv").exists()
+    assert not out.exists()
 
 
 def test_compare_writes_summary_and_run_dirs(tmp_path):

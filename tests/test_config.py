@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import desk_config
 
 from cellshare.config import (_SCHEMA, db_to_linear, default_config,
-                              dump_config, load_config, parse_config,
-                              resolved_dict, validate_config)
+                              dump_config, parse_config, resolved_dict,
+                              validate_config)
 from cellshare.control import initial_powers_dbm
 from cellshare.errors import ConfigError
 
@@ -90,13 +90,6 @@ def test_parse_errors_are_line_precise():
         parse_config("[network]\ncells = two\n")
     with pytest.raises(ConfigError, match="unterminated"):
         parse_config("[network\n")
-
-
-def test_non_utf8_config_file_is_a_config_error(tmp_path):
-    path = tmp_path / "binary.conf"
-    path.write_bytes(b"[network]\ncells = 2\xff\n")
-    with pytest.raises(ConfigError, match="binary.conf: not UTF-8 text"):
-        load_config(str(path))
 
 
 def test_nan_values_and_unbounded_noise_are_rejected():

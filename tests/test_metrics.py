@@ -131,13 +131,6 @@ def test_read_csv_rejects_empty(tmp_path):
         read_csv(str(empty))
 
 
-def test_read_csv_refuses_non_utf8_as_io_error(tmp_path):
-    binary = tmp_path / "binary.csv"
-    binary.write_bytes(b"episode,cell,ue,sinr_db\n0,0,0,\xff\n")
-    with pytest.raises(IOError, match="binary.csv: not UTF-8"):
-        read_csv(str(binary))
-
-
 def test_write_run_outputs_creates_artifacts(tmp_path):
     log = MetricsLog()
     log.step_rows.append(StepRow(episode=0, step=0, agent=0, reward=2.0,
