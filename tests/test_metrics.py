@@ -7,10 +7,10 @@ import pytest
 
 from cellshare.errors import ContractViolation
 from cellshare.metrics import (
+    CCDF_GRID_LIMIT,
     METRICS_HEADER,
     MetricsLog,
     StepRow,
-    CCDF_GRID_LIMIT,
     ccdf,
     ccdf_grid,
     final_quarter_sum_rate,
