@@ -218,11 +218,12 @@ def _polevl(x: float, coefs: tuple) -> float:
     return ans
 
 
+@lru_cache(maxsize=64, typed=True)
 def _j0(x: float) -> float:
     """Bessel J0 of a finite float, with Cephes' coefficients and order
     of operations. Up to 5: (z - DR1)(z - DR2) RP(z)/RQ(z) in z = x*x,
     or 1 - z/4 below 1e-5. Above 5: the modulus PP/PQ and phase QP/QQ
-    in 25/x**2."""
+    in 25/x**2. Memoized: every step of a run asks for the same value."""
     x = abs(x)
     if x <= 5.0:
         z = x * x
@@ -293,9 +294,10 @@ def sample_channels(layout: CellLayout, users: UserSet,
                      + 1j * rng.standard_normal((L, L, U, P))) / math.sqrt(2.0)
             gains = rho * prev.gains + math.sqrt(1.0 - rho * rho) * noise
 
-    # distance from source BS j to user (l, u)
+    # distance from source BS j to user (l, u), by np.linalg.norm's own
+    # formula for real input
     diff = users.positions[:, None, :, :] - layout.positions[None, :, None, :]
-    pl = path_loss_gain(np.linalg.norm(diff, axis=-1), config)
+    pl = path_loss_gain(np.sqrt(np.add.reduce(diff * diff, axis=-1)), config)
 
     scale = np.sqrt(M * pl / P)
     vectors = scale[..., None] * np.einsum("ljup,ljupm->ljum", gains,

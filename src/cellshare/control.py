@@ -17,6 +17,7 @@ cell's result equals the unbatched call on that cell bit for bit.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -29,22 +30,39 @@ def action_space_size(users_per_cell: int) -> int:
     return 2 ** (2 * users_per_cell)
 
 
-def apply_power_command(prev_dbm: np.ndarray, power_bits: np.ndarray,
+def apply_power_command(prev_dbm: np.ndarray, steps_db: np.ndarray,
                         config: NetworkConfig) -> np.ndarray:
     """+-1 dB power update of each cell under its budget constraint.
 
-    Tentatively applies every command; in a cell whose linear sum would
-    exceed the budget, every user steps -1 dB instead. Results are
-    floored at the per-user minimum. The returned linear sum can never
-    exceed the budget provided the previous powers respected it.
+    Tentatively applies every user's step (+1.0 or -1.0 dB); in a cell
+    whose linear sum would exceed the budget, every user steps -1 dB
+    instead. Results are floored at the per-user minimum. The returned
+    linear sum can never exceed the budget provided the previous powers
+    respected it.
     """
+    floor = config.min_ue_power_dbm
     prev_dbm = np.asarray(prev_dbm, dtype=float)
-    delta = np.where(np.asarray(power_bits) == 1, 1.0, -1.0)
-    tentative = np.maximum(prev_dbm + delta, config.min_ue_power_dbm)
-    over = np.sum(db_to_linear(tentative), axis=-1, keepdims=True) \
+    tentative = prev_dbm + steps_db
+    np.maximum(tentative, floor, out=tentative)
+    over = db_to_linear(tentative).sum(axis=-1, keepdims=True) \
         > config.max_bs_power_mw
-    return np.where(over, np.maximum(prev_dbm - 1.0, config.min_ue_power_dbm),
-                    tentative)
+    if not np.count_nonzero(over):  # no cell backs off
+        return tentative
+    return np.where(over, np.maximum(prev_dbm - 1.0, floor), tentative)
+
+
+@lru_cache(maxsize=None)
+def _command_table(users_per_cell: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every joint action's commands, decoded once per U: two read-only
+    (2**(2U), U) arrays, row i holding action i's power steps in dB
+    (+-1.0) and beam steps (+-1): one row per Q-value of an agent."""
+    bits = np.arange(action_space_size(users_per_cell))[:, None] \
+        >> 2 * np.arange(users_per_cell)
+    power_steps = np.where(bits & 1, 1.0, -1.0)
+    beam_steps = 2 * ((bits >> 1) & 1) - 1
+    power_steps.flags.writeable = False
+    beam_steps.flags.writeable = False
+    return power_steps, beam_steps
 
 
 def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
@@ -54,24 +72,28 @@ def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
 
     Beams move one codebook step and saturate at both ends.
     """
-    U = config.users_per_cell
-    n = action_space_size(U)
+    power_steps, beam_steps = _command_table(config.users_per_cell)
+    n = len(power_steps)
     index = np.asarray(index)
-    bad = (index < 0) | (index >= n)
-    if bad.any():
+    if index.dtype.kind not in "iu":
+        raise ContractViolation("action indices must be integers, got %s"
+                                % index.dtype)
+    if np.count_nonzero(index < 0) or np.count_nonzero(index >= n):
+        bad = (index < 0) | (index >= n)
         raise ContractViolation("action index %d outside [0, %d)"
                                 % (index[bad][0], n))
+    size = config.codebook_size
     prev_beams = np.asarray(prev_beams, dtype=int)
-    bad = (prev_beams < 0) | (prev_beams >= config.codebook_size)
-    if bad.any():
+    if np.count_nonzero(prev_beams < 0) \
+            or np.count_nonzero(prev_beams >= size):
+        bad = (prev_beams < 0) | (prev_beams >= size)
         raise ContractViolation("beam index %d outside codebook"
                                 % prev_beams[bad][0])
-    shifts = 2 * np.arange(U)
-    bits = index[..., None] >> shifts
-    new_powers = apply_power_command(prev_powers_dbm, bits & 1, config)
-    step = 2 * ((bits >> 1) & 1) - 1
-    new_beams = np.minimum(np.maximum(prev_beams + step, 0),
-                           config.codebook_size - 1)
+    new_powers = apply_power_command(
+        prev_powers_dbm, power_steps.take(index, axis=0), config)
+    new_beams = prev_beams + beam_steps.take(index, axis=0)
+    np.maximum(new_beams, 0, out=new_beams)
+    np.minimum(new_beams, size - 1, out=new_beams)
     return new_powers, new_beams
 
 
@@ -115,9 +137,9 @@ def reward(sinrs: np.ndarray, inter_mw: np.ndarray, min_sinr: float,
     (...) arrays."""
     sinrs = np.asarray(sinrs, dtype=float)
     inter_mw = np.asarray(inter_mw, dtype=float)
-    ok = np.all(sinrs > min_sinr, axis=-1) \
-        & np.all(inter_mw < interference_threshold_mw, axis=-1)
-    return np.where(ok, np.prod(1.0 + sinrs, axis=-1),
+    ok = (sinrs > min_sinr).all(axis=-1) \
+        & (inter_mw < interference_threshold_mw).all(axis=-1)
+    return np.where(ok, (1.0 + sinrs).prod(axis=-1),
                     -float(punishment))[()], ~ok
 
 

@@ -63,31 +63,41 @@ class Environment:
                                     self.offsets, self.config)
 
     def step(self, actions: Sequence[int]) -> StepResult:
-        """Apply one joint action per cell, then advance and measure."""
+        """Apply one joint action per cell, then advance and measure.
+
+        ``actions`` must hold exactly one index per cell. A refused step
+        leaves the powers and beams as they were."""
         cfg = self.config
-        self.powers_dbm, self.beams = control.apply_joint_action(
+        actions = np.asarray(actions)
+        if actions.shape != (cfg.cells,):
+            raise ContractViolation("need one action per cell, shape (%d,), "
+                                    "got %r" % (cfg.cells, actions.shape))
+        powers_dbm, beams = control.apply_joint_action(
             actions, self.powers_dbm, self.beams, cfg)
-        powers_mw = db_to_linear(self.powers_dbm)
+        powers_mw = db_to_linear(powers_dbm)
         budget_mw = powers_mw.sum(axis=1)
-        bad = (budget_mw > cfg.max_bs_power_mw) | np.any(
-            (self.beams < 0) | (self.beams >= cfg.codebook_size), axis=1)
-        if bad.any():
-            ell = int(np.argmax(bad))
+        over = budget_mw > cfg.max_bs_power_mw
+        size = cfg.codebook_size
+        if np.count_nonzero(over) or np.count_nonzero(beams < 0) \
+                or np.count_nonzero(beams >= size):
+            outside = (beams < 0) | (beams >= size)
+            ell = int((over | outside.any(axis=1)).argmax())
             raise ContractViolation(
                 "cell %d left its power budget or the codebook: %r mW, "
                 "beams %s" % (ell, float(budget_mw[ell]),
-                              self.beams[ell].tolist()))
+                              beams[ell].tolist()))
+        self.powers_dbm, self.beams = powers_dbm, beams
 
         self.users = step_mobility(self.users, self.layout, cfg,
                                    self.users_rng)
         self.channels = sample_channels(self.layout, self.users, cfg,
                                         self.channel_rng, prev=self.channels)
-        table = received_powers(self.channels, powers_mw, self.beams,
+        table = received_powers(self.channels, powers_mw, beams,
                                 self.codebook)
-        gammas = sinr(table, cfg.noise_mw)
-        estimates = measure_inter_cell(gammas, powers_mw, self.beams,
-                                       self.channels, cfg.noise_mw,
-                                       self.codebook)
+        noise_mw = cfg.noise_mw
+        gammas = sinr(table, noise_mw)
+        estimates = measure_inter_cell(gammas, powers_mw, beams,
+                                       self.channels, noise_mw, self.codebook)
         rewards, punished = control.reward(gammas, estimates, cfg.min_sinr,
                                            cfg.interference_threshold_mw,
                                            cfg.punishment)

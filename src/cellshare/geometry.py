@@ -108,13 +108,16 @@ def step_mobility(users: UserSet, layout: CellLayout, config: NetworkConfig,
     if step == 0.0:
         return UserSet(positions=users.positions.copy(), headings=headings)
 
-    delta = step * np.stack([np.cos(headings), np.sin(headings)], axis=-1)
+    delta = np.empty((L, U, 2))
+    np.multiply(step, np.cos(headings), out=delta[..., 0])
+    np.multiply(step, np.sin(headings), out=delta[..., 1])
     proposed = users.positions + delta
 
     offsets = proposed - layout.positions[:, None, :]
-    dist = np.linalg.norm(offsets, axis=-1)
+    # np.linalg.norm's own formula for real input, without its wrapper
+    dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
     out = dist > config.cell_radius
-    if np.any(out):
+    if np.count_nonzero(out):
         idx = np.argwhere(out)
         for ell, u in idx:
             off = offsets[ell, u]

@@ -49,7 +49,7 @@ def _beam_gain(channels: np.ndarray, beams: np.ndarray,
     transmit user. Returns (..., L, L, U, U) where the last axis is the
     transmitting user k of source cell j.
     """
-    w = codebook.vectors[beams]          # (..., L, U, M)
+    w = codebook.vectors.take(beams, axis=0)  # (..., L, U, M)
     # inner product between victim channel (l, j, u, :) and beam (j, k, :)
     inner = np.einsum("ljum,...jkm->...ljuk", np.conj(channels), w)
     return np.abs(inner) ** 2
@@ -58,10 +58,11 @@ def _beam_gain(channels: np.ndarray, beams: np.ndarray,
 def _check_controls(powers_mw: np.ndarray, beam_indices: np.ndarray,
                     codebook: Codebook) -> None:
     """Refuse negative powers and beam indices outside the codebook (a
-    negative index would silently wrap in ``codebook.vectors[beams]``)."""
-    if np.any(powers_mw < 0):
+    negative index would silently wrap in ``codebook.vectors.take``)."""
+    if np.count_nonzero(powers_mw < 0.0):
         raise ContractViolation("transmit powers must be non-negative")
-    if np.any(beam_indices < 0) or np.any(beam_indices >= codebook.size):
+    if np.count_nonzero(beam_indices < 0) \
+            or np.count_nonzero(beam_indices >= codebook.size):
         raise ContractViolation("beam index outside codebook")
 
 
@@ -89,14 +90,15 @@ def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
 
     ell = np.arange(L)
     u = np.arange(U)
-    own = weighted[..., ell, ell, :, :]  # (..., L, U, U) same-cell terms
-    serving = own[..., u, u]             # (..., L, U)
-    off_diag = own.copy()
-    off_diag[..., u, u] = 0.0
-    intra = off_diag.sum(axis=-1)
+    # advanced indexing copies: own is the (..., L, U, U) same-cell
+    # terms and serving their diagonal, taken before it is cleared
+    own = weighted[..., ell, ell, :, :]
+    serving = own[..., u, u]
+    own[..., u, u] = 0.0
+    intra = own.sum(axis=-1)
 
     # (..., L, U, L): interference on victim (l, u) from each source j
-    inter_by_source = np.swapaxes(weighted.sum(axis=-1), -1, -2).copy()
+    inter_by_source = weighted.sum(axis=-1).swapaxes(-1, -2).copy()
     inter_by_source[..., ell, :, ell] = 0.0
     inter_total = inter_by_source.sum(axis=-1)
 
@@ -135,13 +137,14 @@ def measure_inter_cell(reported_sinr: np.ndarray, prev_powers_mw: np.ndarray,
     if prev_powers_mw.shape != (L, U) or prev_beams.shape != (L, U):
         raise ContractViolation("powers and beam indices must be (L, U)")
     _check_controls(prev_powers_mw, prev_beams, codebook)
-    if np.any(~np.isfinite(reported_sinr)) or np.any(reported_sinr <= 0.0):
+    usable = (reported_sinr > 0.0) & (reported_sinr < np.inf)  # NaN fails
+    if np.count_nonzero(usable) < usable.size:
         raise MeasurementError("SINR reports must be positive and finite")
 
     ell = np.arange(L)
     u = np.arange(U)
     h = prev_channels.vectors[ell, ell]  # (L, U, M) local CSI only
-    w = codebook.vectors[prev_beams]     # (L, U, M)
+    w = codebook.vectors.take(prev_beams, axis=0)  # (L, U, M)
     # (L, U victim, U beam)
     inner = np.abs(np.conj(h) @ w.swapaxes(-1, -2)) ** 2
     per_user = prev_powers_mw[:, None, :] * inner

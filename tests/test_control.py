@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from cellshare.config import default_config
 from cellshare.control import (
+    _command_table,
     action_space_size,
     apply_joint_action,
     apply_power_command,
@@ -58,6 +59,23 @@ def test_action_codec_round_trips():
                                                       beam_steps))) == index
 
 
+def test_command_table_equals_the_bit_decode():
+    # apply_joint_action reads each action's commands from this table
+    for users in range(1, 5):
+        power_steps, beam_steps = _command_table(users)
+        n = action_space_size(users)
+        assert power_steps.shape == beam_steps.shape == (n, users)
+        assert power_steps.dtype == float and beam_steps.dtype == int
+        assert not power_steps.flags.writeable
+        assert not beam_steps.flags.writeable
+        for index in range(n):
+            commands = _commands(index, users)
+            assert power_steps[index].tolist() == [2.0 * p - 1.0
+                                                   for p, _ in commands]
+            assert beam_steps[index].tolist() == [2 * b - 1
+                                                  for _, b in commands]
+
+
 def test_action_bit_layout():
     # index 5 = 0b000101: u0 and u1 power up + beam down, u2 both down
     assert _commands(5, 3) == [(1, 0), (1, 0), (0, 0)]
@@ -77,6 +95,10 @@ def test_action_codec_rejects_garbage():
     for index in (-1, 16, [[0, 3], [16, 1]]):
         with pytest.raises(ContractViolation, match="action index"):
             apply_joint_action(index, powers, beams, cfg)
+    # a float or bool would index the command table wrongly or not at all
+    for index in (1.0, [0.0, 3.0], True, np.array([1, 0], dtype=bool)):
+        with pytest.raises(ContractViolation, match="must be integers"):
+            apply_joint_action(index, powers, beams, cfg)
     for bad in ([0, 8], [-1, 0], [[0, 1], [1, 8]]):
         with pytest.raises(ContractViolation, match="outside codebook"):
             apply_joint_action(0, powers, np.array(bad), cfg)
@@ -86,16 +108,17 @@ def test_power_override_when_budget_exceeded():
     cfg = default_config().network  # 40 dBm budget
     prev = np.array([36.0, 36.0])
     # both up -> 37+37 dBm = 10.02 W > 10 W: every user backs off instead
-    after = apply_power_command(prev, np.array([1, 1]), cfg)
+    after = apply_power_command(prev, np.array([1.0, 1.0]), cfg)
     assert np.array_equal(after, [35.0, 35.0])
     # one up one down fits (5.0 + 3.2 W) and is applied verbatim
-    after = apply_power_command(prev, np.array([1, 0]), cfg)
+    after = apply_power_command(prev, np.array([1.0, -1.0]), cfg)
     assert np.array_equal(after, [37.0, 35.0])
 
 
 def test_power_floor():
     cfg = default_config().network  # 0 dBm per-user floor
-    after = apply_power_command(np.array([0.0, 12.0]), np.array([0, 0]), cfg)
+    after = apply_power_command(np.array([0.0, 12.0]), np.array([-1.0, -1.0]),
+                                cfg)
     assert np.array_equal(after, [0.0, 11.0])
 
 
@@ -105,8 +128,8 @@ def test_power_budget_never_violated():
     rng = np.random.default_rng(11)
     powers = initial_powers_dbm(cfg)
     for _ in range(2000):
-        bits = rng.integers(0, 2, size=3)
-        powers = apply_power_command(powers, bits, cfg)
+        steps = 2.0 * rng.integers(0, 2, size=3) - 1.0
+        powers = apply_power_command(powers, steps, cfg)
         assert np.all(powers >= cfg.min_ue_power_dbm)
         assert np.sum(10.0 ** (powers / 10.0)) <= cfg.max_bs_power_mw
 
@@ -134,7 +157,7 @@ def test_apply_joint_action_matches_manual_decode():
         index = int(rng.integers(0, action_space_size(2)))
         commands = _commands(index, 2)
         want_powers = apply_power_command(
-            powers, np.array([c[0] for c in commands]), cfg)
+            powers, np.array([2.0 * c[0] - 1.0 for c in commands]), cfg)
         want_beams = [min(max(int(b) + 2 * c[1] - 1, 0),
                           cfg.codebook_size - 1)
                       for b, c in zip(beams, commands)]

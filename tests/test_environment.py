@@ -3,12 +3,18 @@ budget and codebook checks of every step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_run_config
 
 from cellshare import control
+from cellshare.channel import sample_channels
+from cellshare.config import db_to_linear, default_config
 from cellshare.environment import Environment
-from cellshare.errors import ContractViolation
+from cellshare.errors import ContractViolation, MeasurementError
+from cellshare.geometry import step_mobility
+from cellshare.physics import measure_inter_cell, received_powers, sinr
 
 
 def _env(cells=3):
@@ -44,6 +50,37 @@ def test_step_rejects_a_power_budget_breach(monkeypatch):
         _step_with(monkeypatch, env, powers, env.beams.copy())
 
 
+def test_refused_step_leaves_the_cells_as_they_were(monkeypatch):
+    env = _env()
+    before = env.powers_dbm.copy(), env.beams.copy()
+    users, channels = env.users, env.channels
+    powers = env.powers_dbm.copy()
+    powers[0] = env.config.max_bs_power_dbm
+    beams = env.beams.copy()
+    beams[1, 0] = -1
+    with pytest.raises(ContractViolation, match="cell 0 "):
+        _step_with(monkeypatch, env, powers, beams)
+    assert np.array_equal(env.powers_dbm, before[0])
+    assert np.array_equal(env.beams, before[1])
+    assert env.users is users and env.channels is channels
+
+
+@pytest.mark.parametrize("actions", [[5], 5, [[1, 2]], [1, 2, 3],
+                                     np.zeros((2, 1), dtype=int)])
+def test_step_refuses_actions_that_are_not_one_per_cell(actions):
+    # [5] and 5 used to broadcast to every cell and [[1, 2]] to fail
+    # late, in the SINR measurement
+    env = Environment(default_config().network, np.random.SeedSequence(3))
+    assert env.config.cells == 2
+    env.reset()
+    before = env.powers_dbm.copy(), env.beams.copy()
+    with pytest.raises(ContractViolation, match="one action per cell"):
+        env.step(actions)
+    assert np.array_equal(env.powers_dbm, before[0])
+    assert np.array_equal(env.beams, before[1])
+    env.step([5, 5])  # the shape it asks for
+
+
 @pytest.mark.parametrize("beam", [-1, 8])
 def test_step_rejects_a_beam_outside_the_codebook(monkeypatch, beam):
     env = _env()
@@ -75,3 +112,67 @@ def test_step_flags_exactly_the_punished_cells():
                               == -env.config.punishment)
         flags.extend(result.punished.tolist())
     assert 0 < sum(flags) < len(flags)  # both kinds of cell occur
+
+
+def _composed_step(env, actions):
+    """One step written out as the public stages in their order: the
+    reference the step must equal bit for bit."""
+    cfg = env.config
+    powers_dbm, beams = control.apply_joint_action(
+        actions, env.powers_dbm, env.beams, cfg)
+    powers_mw = db_to_linear(powers_dbm)
+    env.users = step_mobility(env.users, env.layout, cfg, env.users_rng)
+    env.channels = sample_channels(env.layout, env.users, cfg,
+                                   env.channel_rng, prev=env.channels)
+    table = received_powers(env.channels, powers_mw, beams, env.codebook)
+    gammas = sinr(table, cfg.noise_mw)
+    estimates = measure_inter_cell(gammas, powers_mw, beams, env.channels,
+                                   cfg.noise_mw, env.codebook)
+    rewards, punished = control.reward(gammas, estimates, cfg.min_sinr,
+                                       cfg.interference_threshold_mw,
+                                       cfg.punishment)
+    env.powers_dbm, env.beams = powers_dbm, beams
+    env.offsets = env.users.offsets(env.layout)
+    return table, gammas, estimates, rewards.tolist(), punished
+
+
+def _outcome(step, env, actions):
+    try:
+        result = step(env, actions)
+    except MeasurementError as err:  # the same refusal on both sides
+        return str(err)
+    if not isinstance(result, tuple):
+        result = (result.table, result.sinr, result.estimates,
+                  result.rewards, result.punished)
+    table, *rest = result
+    arrays = [table.serving, table.intra, table.inter_by_source,
+              table.inter_total, *rest, env.powers_dbm, env.beams,
+              env.states()]
+    return [np.asarray(a) for a in arrays]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 8),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_step_equals_its_stages_composed(cells, users, antennas, bits,
+                                          seed):
+    cfg = default_config().network
+    cfg.cells = cells
+    cfg.users_per_cell = users
+    cfg.antennas = antennas
+    cfg.codebook_bits = bits
+    envs = [Environment(cfg, np.random.SeedSequence(seed)) for _ in range(2)]
+    actions = np.random.default_rng(seed).integers(
+        control.action_space_size(users), size=(6, cells))
+    for env in envs:
+        env.reset()
+    for row in actions:
+        got = _outcome(Environment.step, envs[0], row)
+        want = _outcome(_composed_step, envs[1], row)
+        if isinstance(want, str):
+            assert got == want
+            break
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)

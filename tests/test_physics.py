@@ -122,7 +122,7 @@ def test_estimator_rejects_unusable_reports():
     rng = np.random.default_rng(5)
     powers_mw, beams = _random_controls(net_cfg, rng)
     good = np.full((net_cfg.cells, net_cfg.users_per_cell), 2.0)
-    for bad_value in (0.0, -1.0, np.nan, np.inf):
+    for bad_value in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf):
         reported = good.copy()
         reported[0, 0] = bad_value
         with pytest.raises(MeasurementError):
@@ -199,10 +199,10 @@ def test_estimator_rejects_out_of_range_controls():
     rng = np.random.default_rng(5)
     powers_mw, beams = _random_controls(net_cfg, rng)
     reported = np.full(powers_mw.shape, 2.0)
-    for bad_beam in (-1, -codebook.size):
+    for bad_beam in (-1, -codebook.size, codebook.size):
         bad_beams = beams.copy()
         bad_beams[0, 0] = bad_beam
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="outside codebook"):
             measure_inter_cell(reported, powers_mw, bad_beams, channels,
                                net_cfg.noise_mw, codebook)
     with pytest.raises(ContractViolation):
@@ -220,10 +220,11 @@ def test_received_powers_contract_checks():
         received_powers(channels, powers_mw[None], beams, codebook)
     with pytest.raises(ContractViolation):
         received_powers(channels, -powers_mw, beams, codebook)
-    bad_beams = beams.copy()
-    bad_beams[0, 0] = codebook.size
-    with pytest.raises(ContractViolation):
-        received_powers(channels, powers_mw, bad_beams, codebook)
+    for bad_beam in (-1, codebook.size):
+        bad_beams = beams.copy()
+        bad_beams[0, 0] = bad_beam
+        with pytest.raises(ContractViolation, match="outside codebook"):
+            received_powers(channels, powers_mw, bad_beams, codebook)
     small_cb = beam_codebook(net_cfg.antennas - 1, net_cfg.codebook_bits)
     with pytest.raises(ContractViolation):
         received_powers(channels, powers_mw, beams, small_cb)
