@@ -121,7 +121,8 @@ def write_csv(path: str, header: Sequence[str],
 
 def read_csv(path: str) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
     """Header and rows of a UTF-8 CSV file, blank lines skipped; each
-    row is a (file line, cells) pair."""
+    row is a (file line, cells) pair. A file that is not UTF-8 text or
+    holds no header raises IOError, as an unreadable file does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(n, ln.rstrip("\n").split(","))
@@ -129,7 +130,7 @@ def read_csv(path: str) -> Tuple[List[str], List[Tuple[int, List[str]]]]:
     except UnicodeDecodeError as err:
         raise IOError("%s: not UTF-8 text: %s" % (path, err))
     if not lines:
-        raise ContractViolation("%s: empty CSV" % path)
+        raise IOError("%s: empty CSV" % path)
     return lines[0][1], lines[1:]
 
 

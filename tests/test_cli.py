@@ -231,6 +231,18 @@ def test_ccdf_rejects_malformed_rows(tmp_path, capsys):
     assert missing == EXIT_IO
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_ccdf_rejects_an_empty_file_as_io(tmp_path, capsys, text):
+    # a 0-byte or all-blank input is unreadable input (exit 3), as a
+    # missing, non-UTF-8 or malformed one is, not a runtime abort
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["ccdf", "--in", str(empty), "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == "i/o error: %s: empty CSV\n" % empty
+    assert not out.exists()
+
+
 def test_ccdf_refuses_samples_it_cannot_place_on_a_grid(tmp_path, capsys):
     # no run writes a NaN sample, a 1 dB grid up to 1e9 dB would need
     # gigabytes and -inf samples alone span no grid: each is refused,

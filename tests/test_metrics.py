@@ -125,10 +125,13 @@ def test_csv_round_trip_is_byte_stable(tmp_path):
 
 
 def test_read_csv_rejects_empty(tmp_path):
+    # an input file without a header is unreadable input, as a missing
+    # or non-UTF-8 one is, not a broken call
     empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ContractViolation):
-        read_csv(str(empty))
+    for text in ("", "\n\n"):
+        empty.write_text(text)
+        with pytest.raises(IOError, match="empty CSV"):
+            read_csv(str(empty))
 
 
 def test_write_run_outputs_creates_artifacts(tmp_path):
