@@ -19,10 +19,12 @@ Oracle cases hash ``evaluate_configuration`` on random configurations,
 snapshots; one more case hashes ``build_layout`` for 1 to 127 cells.
 CLI cases run ``cellshare train`` (a normal and a diverging run),
 ``compare`` (two frameworks, one of which diverges), ``oracle`` and
-``ccdf`` in process. Each hashes the exit code, stderr and every file
-the command writes, with ``run.json``'s ``config`` object dropped, so a
-change that adds or removes a config key can show that no other byte
-moved. BLAS runs on one thread, as in the benchmark.
+``ccdf`` in process; ``ccdf`` reads the normal run's samples plus one
+on every level of its grid and one at -inf. Each hashes the exit code,
+stderr and every file the command writes, with ``run.json``'s
+``config`` object dropped, so a change that adds or removes a config
+key can show that no other byte moved. BLAS runs on one thread, as in
+the benchmark.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -266,6 +269,27 @@ def cli_case(tmp: str, argv, out: str) -> str:
     return h.hexdigest()
 
 
+def with_grid_ties(src: str, dst: str) -> None:
+    """Copy the SINR samples CSV ``src`` to ``dst`` with one more sample
+    on every integer dB level of its ccdf grid and one at -inf. A run's
+    own samples never sit on the grid, so without these a threshold
+    compared with >= instead of > would not move the digest."""
+    with open(src, encoding="utf-8") as fh:
+        text = fh.read()
+    header = text.splitlines()[0].split(",")
+    column = header.index("sinr_db")
+    values = [float(line.split(",")[column])
+              for line in text.splitlines()[1:] if line]
+    values = [v for v in values if math.isfinite(v)]  # the grid's span
+    levels = range(math.floor(min(values)), math.ceil(max(values)) + 1)
+    for value in [*map(float, levels), -math.inf]:
+        row = ["0"] * len(header)
+        row[column] = repr(value)
+        text += ",".join(row) + "\n"
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def cli_cases():
     with tempfile.TemporaryDirectory() as tmp:
         def path(name):
@@ -293,10 +317,11 @@ def cli_cases():
         yield "cli/oracle", cli_case(
             tmp, ["oracle", "--config", configs["oracle"], "--seed", "4",
                   "--out", out], out)
+        samples = path("ccdf-samples.csv")
+        with_grid_ties(path("train-ok/sinr_samples.csv"), samples)
         out = path("ccdf.csv")
         yield "cli/ccdf", cli_case(
-            tmp, ["ccdf", "--in", path("train-ok/sinr_samples.csv"),
-                  "--out", out], out)
+            tmp, ["ccdf", "--in", samples, "--out", out], out)
 
 
 def layout_case():
