@@ -2,7 +2,9 @@
 
 All numeric CSV cells use 12 significant digits so that repeated runs
 produce byte-identical files and parsing a file and re-serializing it
-reproduces the bytes.
+reproduces the bytes. ``format_cell`` is the rule for a cell;
+``write_csv`` renders a row of plain ints, floats and strings with one
+%-format that applies the same rule to each.
 """
 
 from __future__ import annotations
@@ -110,11 +112,33 @@ def format_cell(value) -> str:
     return "%.12g" % float(value)
 
 
+# format_cell's rule for each plain cell type, as a %-format
+_CELL_FORMATS = {int: "%d", float: "%.12g", str: "%s"}
+
+
+def _row_format(kinds: Sequence[type]) -> str | None:
+    """The %-format that renders a row of exactly these cell types as
+    ``format_cell`` does, or None if one of them is not a plain int,
+    float or str."""
+    if not all(kind in _CELL_FORMATS for kind in kinds):
+        return None
+    return ",".join(_CELL_FORMATS[kind] for kind in kinds)
+
+
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
+    """One line per row, each cell as ``format_cell`` renders it. A row
+    of plain ints, floats and strings takes one %-format, made again
+    only where a row's cell types differ from the row before; any other
+    row goes cell by cell."""
     lines = [",".join(header)]
+    kinds = fmt = None
     for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+        row_kinds = [type(v) for v in row]
+        if row_kinds != kinds:
+            kinds, fmt = row_kinds, _row_format(row_kinds)
+        lines.append(",".join(map(format_cell, row)) if fmt is None
+                     else fmt % tuple(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

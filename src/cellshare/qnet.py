@@ -20,10 +20,19 @@ the reference passes the tests check against, run the same kernels in a
 workspace made for their call, so what they return belongs to the
 caller.
 
-A stacked step is all-or-nothing: if any agent's loss is non-finite,
-``train_step`` raises before the backward pass and no weight changes.
-Otherwise the backward pass fills every gradient from the pre-update
-weights, and only then does the step change a weight.
+A minibatch must hold integer actions and one action, reward and next
+state per state row; anything else is refused before either forward
+pass. A stacked step is all-or-nothing: if any agent's loss is
+non-finite, ``train_step`` raises before the backward pass and no
+weight changes. Otherwise the backward pass fills every gradient from
+the pre-update weights, and only then does the step change a weight.
+
+At desk sizes a step's arithmetic is small, so its cost is mostly
+numpy dispatch: the step path takes no conversion its inputs do not
+need, gathers and scatters the taken Q-values through one flat index
+per row (``Workspace.base``), checks with mask counts, and builds the
+TD target in place; each is the reference arithmetic, so the bits are
+the same.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .errors import ContractViolation, TrainingFault
 
 HIDDEN_1 = 56
 HIDDEN_2 = 56
+_FLOAT = np.dtype(float)
 
 
 class QNetwork:
@@ -111,8 +121,10 @@ class Workspace:
     """The arrays one minibatch shape of ``net``'s architecture passes
     through: (..., batch) rows of layer outputs (the hidden ones later
     hold their ReLU masks, the Q-values dL/dq), bias spreads,
-    hidden-layer deltas, and one gradient array per parameter. The
-    target pass and the online pass share the layer outputs."""
+    hidden-layer deltas, one gradient array per parameter, and each
+    row's flat index of its first (``base``) and taken (``index``)
+    Q-value. The target pass and the online pass share the layer
+    outputs."""
 
     def __init__(self, net: QNetwork, batch: int):
         lead = net.w1.shape[:-2] + (int(batch),)
@@ -122,6 +134,9 @@ class Workspace:
         self.dz1, self.dz2 = (np.empty(shape) for shape in shapes[:2])
         self.grads = {name: np.empty(param.shape)
                       for name, param in net.parameters().items()}
+        self.base = np.arange(0, math.prod(lead) * net.output_size,
+                              net.output_size).reshape(lead)
+        self.index = np.empty(lead, dtype=np.intp)
 
 
 def _shared(shapes):
@@ -133,8 +148,11 @@ def _shared(shapes):
 
 
 def _rows(net: QNetwork, x) -> np.ndarray:
-    """``x`` as float rows of the network's input length."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """``x`` as float rows of the network's input length; an array that
+    already is one comes back as it is, as the conversion would return
+    it."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim < 2:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[-1] != net.input_size:
         raise ContractViolation(
             "state length %d does not match network input %d"
@@ -171,26 +189,48 @@ def q_forward(net: QNetwork, x) -> np.ndarray:
     return _forward(net, x, Workspace(net, x.shape[-2]))
 
 
-def _loss(net: QNetwork, target_net: QNetwork, states, actions: np.ndarray,
-          rewards: np.ndarray, next_states, alpha: float,
-          ws: Workspace) -> np.ndarray:
-    """Mean squared TD error (per agent for a stack). Leaves the online
-    pass's hidden activations and dL/dq in ``ws.outs``."""
-    if actions.shape[-1] < 1:
+def _loss(net: QNetwork, target_net: QNetwork, states: np.ndarray,
+          actions: np.ndarray, rewards: np.ndarray, next_states,
+          alpha: float, ws: Workspace) -> np.ndarray:
+    """Mean squared TD error (per agent for a stack) of the rows
+    ``states``. Leaves the online pass's hidden activations and dL/dq in
+    ``ws.outs``. Integer actions, rewards and next states must come one
+    per row of ``states``; anything else is refused before either
+    forward pass."""
+    lead = states.shape[:-1]
+    next_states = _rows(target_net, next_states)
+    if actions.dtype.kind not in "iu":
+        raise ContractViolation("action indices must be integers, got %s"
+                                % actions.dtype)
+    shapes = (actions.shape, getattr(rewards, "shape", None),
+              next_states.shape[:-1])
+    if shapes != (lead, lead, lead):
+        raise ContractViolation(
+            "actions, rewards and next states must come one per state "
+            "row, shape %r; got %r, %r and %r" % ((lead,) + shapes))
+    b = lead[-1]
+    if b < 1:
         raise ContractViolation("minibatch must contain at least one item")
-    if np.any(actions < 0) or np.any(actions >= net.output_size):
+    if np.count_nonzero(actions < 0) \
+            or np.count_nonzero(actions >= net.output_size):
         raise ContractViolation("action index outside the network head")
-    # episodes are fixed length, so every target bootstraps
-    q_next = _forward(target_net, _rows(target_net, next_states), ws)
-    y = rewards + alpha * q_next.max(axis=-1)
+    # episodes are fixed length, so every target bootstraps:
+    # y = rewards + alpha * max Q'
+    y = np.maximum.reduce(_forward(target_net, next_states, ws), axis=-1)
+    y *= alpha
+    y += rewards
     q = _forward(net, states, ws)
-    # Q-values indexed by transition, over all agents of a stack
-    rows, acts, b = np.arange(actions.size), actions.ravel(), actions.shape[-1]
-    diff = y - q.reshape(rows.size, -1)[rows, acts].reshape(actions.shape)
-    loss = np.mean(diff ** 2, axis=-1)
+    # the flat index of each row's taken Q-value (a uint64 action, in
+    # range, passes exactly through numpy's float loop)
+    index = np.add(ws.base, actions, out=ws.index, casting="unsafe")
+    diff = y  # y - Q(s, a), in place
+    diff -= q.take(index)
+    loss = np.add.reduce(np.square(diff), axis=-1) / b
     dq = q  # dL/dq takes the Q-values' array
     dq.fill(0.0)
-    dq.reshape(rows.size, -1)[rows, acts] = (-2.0 * diff / b).ravel()
+    diff *= -2.0  # the taken Q-values' dL/dq, -2 * diff / b
+    diff /= b
+    dq.put(index, diff)
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -240,13 +280,15 @@ def train_step(net: QNetwork, target_net: QNetwork, states: np.ndarray,
     x = _rows(net, states)
     loss = _loss(net, target_net, x, actions, rewards, next_states, alpha,
                  workspace)
-    bad = np.flatnonzero(~np.isfinite(loss))
-    if len(bad):
+    finite = np.isfinite(loss)
+    if np.count_nonzero(finite) < finite.size:
+        bad = np.flatnonzero(~finite)
         raise TrainingFault("non-finite training loss %r"
                             % float(np.ravel(loss)[bad[0]]))
     for name, grad in _gradients(net, x, workspace).items():
         grad *= eta
-        getattr(net, name)[...] -= grad
+        param = getattr(net, name)
+        param -= grad
     return loss
 
 
@@ -259,17 +301,24 @@ def select_action(net: QNetwork, states: np.ndarray, epsilon: float,
     with batch 1), and break ties toward index 0."""
     if not 0.0 <= epsilon <= 1.0:
         raise ContractViolation("epsilon must be in [0, 1]")
-    states = np.asarray(states, dtype=float)
+    if type(states) is not np.ndarray or states.dtype is not _FLOAT:
+        states = np.asarray(states, dtype=float)
     if not len(states) == len(rngs) == len(net):
         raise ContractViolation("need one state and one stream per agent")
-    actions = np.zeros(len(rngs), dtype=int)
-    greedy = []
-    for k, rng in enumerate(rngs):
-        if epsilon > 0.0 and rng.random() < epsilon:
-            actions[k] = rng.integers(net.output_size)
-        else:
-            greedy.append(k)
-    if greedy:
-        q = _forward(net, _rows(net, states[:, None, :]), workspace)
-        actions[greedy] = np.argmax(q[:, 0], axis=-1)[greedy]
+    greedy = range(len(rngs))
+    if epsilon > 0.0:
+        actions = np.zeros(len(rngs), dtype=int)
+        greedy = []
+        for k, rng in enumerate(rngs):
+            if rng.random() < epsilon:
+                actions[k] = rng.integers(net.output_size)
+            else:
+                greedy.append(k)
+        if not greedy:
+            return actions
+    q = _forward(net, _rows(net, states[:, None, :]), workspace)
+    best = q[:, 0].argmax(axis=-1)
+    if len(greedy) == len(rngs):
+        return best
+    actions[greedy] = best[greedy]
     return actions

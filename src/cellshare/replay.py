@@ -1,5 +1,7 @@
 """The per-run transition table and the run's replay: one bounded FIFO
-ring of row ids into it per learner, as rows of one id matrix."""
+ring of row ids into it per learner, as rows of one id matrix. An insert
+places its ids with one fancy assignment, by a plan that depends on its
+copies matrix alone and is kept for the matrices a run inserts again."""
 
 from __future__ import annotations
 
@@ -58,7 +60,15 @@ class TransitionTable:
 
 class ReplayBuffer:
     """Rings of row ids with strictly oldest-first eviction: learner k's
-    n-th id ever inserted sits in ``slots[k, n % capacity]``."""
+    n-th id ever inserted sits in ``slots[k, n % capacity]``.
+
+    An insert places ids by a plan that depends on the copies matrix
+    alone. A run inserts the same few matrices step after step (its
+    constant local routing, share-all's mask), so the last ``PLANS``
+    plans are kept, keyed by the matrix's value; a plan whose call
+    evicts its own ids is never kept."""
+
+    PLANS = 8
 
     def __init__(self, learners: int, capacity: int):
         if learners < 1 or capacity < 1:
@@ -68,22 +78,39 @@ class ReplayBuffer:
         self.counts = np.zeros(learners, dtype=int)
         self.inserted_local = 0
         self.inserted_received = 0
+        self._plans = {}
 
-    def insert(self, copies: np.ndarray, rows: np.ndarray,
-               received: bool = False) -> None:
-        """Give learner k ``copies[k, j]`` ids ``rows[j]``, in j order."""
+    def _plan(self, copies: np.ndarray):
+        """(taken, total, learner, j, offset): the ids each learner
+        takes and their total, and each placed id's learner, ``rows``
+        index and place among its learner's ids of the call."""
         taken = copies.sum(axis=1)
         ends = taken.cumsum()
         total = int(ends[-1])
         # each id's (learner, j) cell, learner by learner in j order
         learner, j = np.divmod(np.repeat(np.arange(copies.size),
                                          copies.ravel()), copies.shape[1])
-        number = np.arange(total) + (self.counts + taken - ends)[learner]
+        offset = np.arange(total) - (ends - taken)[learner]
         if total > self.capacity and taken.max() > self.capacity:
             # numpy does not say which of two writes to one slot wins
-            kept = number >= (self.counts + taken - self.capacity)[learner]
-            learner, j, number = learner[kept], j[kept], number[kept]
-        self.slots[learner, number % self.capacity] = rows[j]
+            kept = offset >= (taken - self.capacity)[learner]
+            learner, j, offset = learner[kept], j[kept], offset[kept]
+        return taken, total, learner, j, offset
+
+    def insert(self, copies: np.ndarray, rows: np.ndarray,
+               received: bool = False) -> None:
+        """Give learner k ``copies[k, j]`` ids ``rows[j]``, in j order."""
+        key = (copies.dtype.str, copies.shape, copies.tobytes())
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan(copies)
+            if len(plan[2]) == plan[1]:  # no id evicted by its own call
+                if len(self._plans) == self.PLANS:
+                    del self._plans[next(iter(self._plans))]
+                self._plans[key] = plan
+        taken, total, learner, j, offset = plan
+        self.slots[learner, (self.counts[learner] + offset)
+                   % self.capacity] = rows[j]
         self.counts += taken
         if received:
             self.inserted_received += total

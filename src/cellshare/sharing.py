@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,9 +56,8 @@ class OverheadLedger:
         experiences, scalars = experiences.tolist(), scalars.tolist()
         if min(experiences) < 0 or min(scalars) < 0:
             raise ContractViolation("ledger counts must be non-negative")
-        self.rows.extend(
-            (step, agent, n_exp, n_scal) for agent, (n_exp, n_scal)
-            in enumerate(zip(experiences, scalars)))
+        self.rows.extend(zip(repeat(step), range(len(experiences)),
+                             experiences, scalars))
 
     experiences_total = property(lambda self: sum(r[2] for r in self.rows))
     scalars_total = property(lambda self: sum(r[3] for r in self.rows))
@@ -109,7 +109,7 @@ def deliver(mask: np.ndarray, rows: np.ndarray,
     sender, then user order, so runs are schedule independent. Returns
     the number of experiences sent per sender that sent any.
     """
-    counts = mask.sum(axis=1)  # (sender, receiver)
+    counts = np.add.reduce(mask, axis=1)  # (sender, receiver)
     replay.insert(counts.T, rows, received=True)
     return {sender: n for sender, n
             in enumerate(counts.sum(axis=1).tolist()) if n}

@@ -109,6 +109,13 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                              else None)
 
     epsilon = tr_cfg.epsilon_start
+    no_losses = [math.nan] * L
+    ready = False  # every ring holds a batch (rings never shrink)
+    # the charge of a framework without a share rule is the same every
+    # step: ctde's U rows per cell to its central learner, else nothing
+    sent = np.full(L, U if behaviour.central else 0)
+    received = [0] * L
+    scalars = sent * experience_scalars(U) + behaviour.common_reward
 
     try:
         for episode in range(tr_cfg.episodes):
@@ -123,7 +130,7 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                                         acting)
                 result = env.step(actions)
 
-                if not all(math.isfinite(r) for r in result.rewards):
+                if not all(map(math.isfinite, result.rewards)):
                     raise TrainingFault("non-finite reward at step %d"
                                         % step_idx)
                 train_rewards = result.rewards
@@ -139,23 +146,22 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                 replay.insert(own, rows)
 
                 # --- sharing barrier -------------------------------------
-                if behaviour.share is None:
-                    mask = np.zeros((L, U, L), dtype=bool)
-                else:
+                if behaviour.share is not None:
                     mask = behaviour.share(result.estimates,
                                            result.table.inter_by_source,
                                            net_cfg.interference_threshold_mw,
                                            sh_cfg.attribution)
                     sharing.deliver(mask, rows, replay)
-                received = mask.sum(axis=(0, 1)).tolist()
-                sent = np.full(L, U) if behaviour.central \
-                    else mask.sum(axis=(1, 2))
-                scalars = sent * experience_scalars(U) \
-                    + behaviour.common_reward
+                    received = np.add.reduce(mask, axis=(0, 1)).tolist()
+                    sent = np.add.reduce(mask, axis=(1, 2))
+                    scalars = sent * experience_scalars(U) \
+                        + behaviour.common_reward
 
                 # --- train -----------------------------------------------
-                losses = [math.nan] * L
-                if replay.counts.min() >= tr_cfg.batch_size:  # <= capacity
+                losses = no_losses
+                ready = ready or \
+                    replay.counts.min() >= tr_cfg.batch_size  # <= capacity
+                if ready:
                     ids = replay.sample(tr_cfg.batch_size, sample_rngs)
                     step_losses = train_step(
                         learner, target, *table.batch(ids), tr_cfg.discount,
@@ -164,11 +170,13 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                     if train_steps % tr_cfg.target_refresh_steps == 0:
                         target.load_from(learner)
                     losses = step_losses[owner].tolist()
+                charge = scalars
                 if behaviour.central and \
                         (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
-                    scalars += sharing.ctde_sync(learner, agents) // L
+                    charge = scalars \
+                        + sharing.ctde_sync(learner, agents) // L
 
-                ledger.record_step(step_idx, sent, scalars)
+                ledger.record_step(step_idx, sent, charge)
                 _log_step(log, episode, t, train_rewards, losses, epsilon,
                           sent.tolist(), received)
                 states = next_states
@@ -196,13 +204,14 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
     log = MetricsLog()
     dummy_rngs = [np.random.default_rng(0)] * L  # unused at epsilon=0
     acting = Workspace(nets, 1)
+    no_losses, nothing = [math.nan] * L, [0] * L
 
     for episode in range(eval_episodes):
         env.reset()
         for t in range(cfg.training.steps_per_episode):
             result = env.step(select_action(nets, env.states(), 0.0,
                                             dummy_rngs, acting))
-            _log_step(log, episode, t, result.rewards, [math.nan] * L, 0.0,
-                      [0] * L, [0] * L)
+            _log_step(log, episode, t, result.rewards, no_losses, 0.0,
+                      nothing, nothing)
         log.add_episode(episode, result.sinr)
     return log

@@ -1,7 +1,8 @@
-"""Source hygiene that needs no linter: every imported name is used,
-``src/`` imports nothing beyond numpy and the standard library, and
-every public name in ``src/`` (a class's methods, properties and
-dataclass fields included) is read by ``src/`` or ``perfbench/``."""
+"""Source hygiene that needs no linter: every name ``src/``, ``tests/``
+or ``tools/`` imports is used, ``src/`` imports nothing beyond numpy
+and the standard library, and every public name in ``src/`` (a class's
+methods, properties and dataclass fields included) is read by ``src/``
+or ``perfbench/``."""
 
 import ast
 import sys
@@ -38,7 +39,7 @@ def unused_imports(path):
 
 def test_no_unused_imports():
     found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
-             for folder in ("src", "tests")
+             for folder in ("src", "tests", "tools")
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path)]
     assert not found, "imported but never used:\n" + "\n".join(found)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellshare.errors import ContractViolation
 from cellshare.metrics import (
@@ -122,6 +124,32 @@ def test_csv_round_trip_is_byte_stable(tmp_path):
     second = tmp_path / "second.csv"
     write_csv(str(second), header, [cells for _line, cells in parsed])
     assert first.read_bytes() == second.read_bytes()
+
+
+_CELLS = [0, 7, -3, 10 ** 30, 2.0 / 3.0, float("nan"), math.inf, -math.inf,
+          -0.0, 1e-300, 1e300, 5e-324, True, False, np.int64(-4),
+          np.int8(9), np.float64(0.25), np.float32(0.1), np.bool_(True),
+          np.bool_(False), "smart", "", "a b"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(_CELLS), max_size=6),
+                          st.booleans()), max_size=8))
+def test_write_csv_renders_every_cell_as_format_cell(tmp_path_factory,
+                                                     drawn):
+    """Byte for byte the header and one ``format_cell`` join per row,
+    for rows (lists or tuples) that mix plain and numpy ints, floats
+    and bools with strings, rows that repeat a row's cell types, and no
+    rows at all."""
+    rows = [tuple(cells) if as_tuple else cells for cells, as_tuple in drawn]
+    rows += rows[:2]
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(str(path), ("a", "b"), rows)
+    want = "".join(",".join(format_cell(v) for v in row) + "\n"
+                   for row in [("a", "b")] + rows)
+    assert path.read_bytes() == want.encode("utf-8")
+    write_csv(str(path), ("a", "b"), iter(()))
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_read_csv_rejects_empty(tmp_path):

@@ -169,6 +169,85 @@ def test_train_step_raises_on_nonfinite_loss():
                        Workspace(net, 1))
 
 
+def _filled_workspace(net, batch):
+    """A workspace whose every array holds 7.0, so a test can tell
+    whether a pass wrote to it."""
+    workspace = Workspace(net, batch)
+    for array in workspace.outs + workspace.spreads + [
+            workspace.dz1, workspace.dz2, *workspace.grads.values()]:
+        array.fill(7.0)
+    return workspace
+
+
+@pytest.mark.parametrize("bad", ["rewards (B,)", "rewards (K, 1)",
+                                 "float actions", "bool actions"])
+def test_malformed_minibatch_is_refused_before_any_pass(bad):
+    """Rewards that would broadcast against (K, B) and actions that are
+    not integers are refused before either forward pass: no weight and
+    no workspace array changes."""
+    nets, targets, _batches, stacked = _stack_case(2, 3, 4, 4, 4, 16)
+    net, target = QNetwork.stack(nets), QNetwork.stack(targets)
+    states, actions, rewards, next_states = stacked
+    if bad == "rewards (B,)":
+        rewards = rewards[0]
+    elif bad == "rewards (K, 1)":
+        rewards = rewards[:, :1]
+    elif bad == "float actions":
+        actions = actions.astype(float)
+    else:
+        actions = actions > 0
+    before = net.copy()
+    workspace = _filled_workspace(net, 4)
+    with pytest.raises(ContractViolation):
+        train_step(net, target, states, actions, rewards, next_states, 0.9,
+                   0.05, workspace)
+    with pytest.raises(ContractViolation):
+        loss_and_gradients(net, target, states, actions, rewards,
+                           next_states, 0.9)
+    assert same_weights(net, before)
+    assert all(np.all(array == 7.0) for array in
+               workspace.outs + [*workspace.grads.values()])
+
+
+_sgd_cases = st.tuples(st.integers(1, 4), st.integers(1, 8),
+                       st.integers(1, 9),
+                       st.sampled_from([np.int64, np.int32, np.int8,
+                                        np.uint8, np.uint64]),
+                       st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sgd_cases)
+def test_run_owned_train_step_is_reference_gradients_plus_sgd(case):
+    """Through one workspace, call after call, a stacked step's losses
+    and weights equal loss_and_gradients on the same weights followed
+    by a hand-written SGD update, bit for bit, for any integer action
+    dtype and with the head's first and last actions taken."""
+    agents, batch, n_actions, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    nets = [QNetwork(5, n_actions, hidden=(6, 4), rng=rng, init_gain=1.0)
+            for _ in range(agents)]
+    net = QNetwork.stack(nets)
+    target = QNetwork.stack([QNetwork(5, n_actions, hidden=(6, 4), rng=rng,
+                                      init_gain=1.0) for _ in range(agents)])
+    manual = net.copy()
+    workspace = Workspace(net, batch)
+    for _ in range(3):
+        lead = (agents, batch)
+        actions = rng.integers(n_actions, size=lead)
+        actions.flat[0], actions.flat[-1] = 0, n_actions - 1
+        actions = actions.astype(dtype)
+        minibatch = (rng.normal(size=lead + (5,)), actions,
+                     rng.normal(size=lead), rng.normal(size=lead + (5,)))
+        want, grads = loss_and_gradients(manual, target, *minibatch, 0.9)
+        for name, grad in grads.items():
+            param = getattr(manual, name)
+            param -= 0.05 * grad
+        losses = train_step(net, target, *minibatch, 0.9, 0.05, workspace)
+        assert np.array_equal(losses, want)
+        assert same_weights(net, manual)
+
+
 def _one_agent(state, net, epsilon, rng):
     """select_action on a one-agent stack; the agent's action."""
     actions = select_action(net, [state], epsilon, [rng], Workspace(net, 1))
@@ -395,14 +474,23 @@ def test_workspace_holds_one_gradient_array_per_parameter(agents):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_stacks, st.sampled_from([0.0, 1.0, 0.3, 0.7]))
+@given(_stacks, st.sampled_from([0.0, 1e-12, 1.0, 0.3, 0.7]))
 def test_stacked_select_action_equals_per_agent_choices(case, epsilon):
+    """Also where every agent acts greedily, at epsilon 0 (no draws) and
+    at 1e-12 (a draw each): those calls return the greedy pass's own
+    actions, which must still be one int per agent that no later pass
+    through the workspace changes."""
     nets, _targets, batches, _stacked = _stack_case(*case)
     net = QNetwork.stack(nets)
     states = np.array([batch[0][0] for batch in batches])
     seed = case[-1]
     rngs = [np.random.default_rng([seed, k]) for k in range(len(nets))]
-    actions = select_action(net, states, epsilon, rngs, Workspace(net, 1))
+    workspace = Workspace(net, 1)
+    actions = select_action(net, states, epsilon, rngs, workspace)
+    assert actions.shape == (len(nets),) and actions.dtype == int
+    kept = actions.copy()
+    select_action(net, -states, 0.0, rngs, workspace)
+    assert np.array_equal(actions, kept)
     for k, one in enumerate(nets):
         # the per-agent rule: random(), then maybe integers(), from the
         # agent's own stream; otherwise the lowest argmax of its Q-values
@@ -414,3 +502,6 @@ def test_stacked_select_action_equals_per_agent_choices(case, epsilon):
         assert actions[k] == want
         # and every stream was left where the per-agent rule leaves it
         assert rngs[k].random() == rng.random()
+    if epsilon in (0.0, 1e-12):
+        assert np.array_equal(actions, [np.argmax(q_forward(one, state))
+                                        for one, state in zip(nets, states)])

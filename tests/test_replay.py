@@ -51,40 +51,87 @@ def test_fifo_eviction_order():
 
 @st.composite
 def _ragged_calls(draw):
-    """(learners, capacity, calls): each call a (learners, cells) copies
-    matrix, some of whose rows bring more ids than the capacity."""
+    """(learners, capacity, cells, calls): each call a (reuse, copies)
+    pair whose (learners, cells) copies matrix may bring a row more ids
+    than the capacity. The matrices come from a small pool, so values
+    repeat; a reuse call refills one shared array of ``cells`` columns
+    in place with them."""
     learners = draw(st.integers(1, 4))
     capacity = draw(st.integers(1, 50))
+    top = draw(st.sampled_from([3, 30]))
+
+    def matrix(cells):
+        return np.array(draw(st.lists(
+            st.lists(st.integers(0, top), min_size=cells, max_size=cells),
+            min_size=learners, max_size=learners))).reshape(learners, cells)
+
+    cells = draw(st.integers(1, 5))
+    shared_pool = [matrix(cells) for _ in range(draw(st.integers(1, 3)))]
+    other_pool = [matrix(draw(st.integers(1, 5)))
+                  for _ in range(draw(st.integers(1, 3)))]
     calls = []
-    for _ in range(draw(st.integers(0, 8))):
-        cells = draw(st.integers(1, 5))
-        calls.append(np.array(draw(st.lists(
-            st.lists(st.integers(0, 30), min_size=cells, max_size=cells),
-            min_size=learners, max_size=learners))).reshape(learners, cells))
-    return learners, capacity, calls
+    for _ in range(draw(st.integers(0, 12))):
+        reuse = draw(st.booleans())
+        calls.append((reuse, draw(st.sampled_from(
+            shared_pool if reuse else other_pool))))
+    return learners, capacity, cells, calls
 
 
 @given(_ragged_calls())
 def test_id_ring_matches_a_list_ring(case):
-    # each learner's row equals its own list ring fed the same ids in
-    # cell order, also where one call brings it more than `capacity`
-    # ids and so evicts its own first ones
-    learners, capacity, calls = case
+    # after every call, each learner's row equals its own list ring fed
+    # the same ids in cell order, also where one call brings it more
+    # than `capacity` ids and so evicts its own first ones, and where
+    # one copies array, changed in place or not, comes back call after
+    # call between other matrices
+    learners, capacity, cells, calls = case
     ring = ReplayBuffer(learners, capacity)
+    shared = np.zeros((learners, cells), dtype=int)
     inserts = [[] for _ in range(learners)]
     first = 0
-    for copies in calls:
+    for reuse, values in calls:
+        copies = values
+        if reuse:
+            shared[...] = values
+            copies = shared
         rows = first + np.arange(copies.shape[1])
         first += copies.shape[1]
         ring.insert(copies, rows)
         for k in range(learners):
-            inserts[k].append(np.repeat(rows, copies[k]).tolist())
-    for k in range(learners):
-        want = _list_ring(capacity, inserts[k])
-        assert ring.counts[k] == sum(map(len, inserts[k]))
-        assert ring.slots[k, :len(want)].tolist() == want
-    assert ring.inserted_local == sum(int(c.sum()) for c in calls)
+            inserts[k].append(np.repeat(rows, values[k]).tolist())
+            want = _list_ring(capacity, inserts[k])
+            assert ring.counts[k] == sum(map(len, inserts[k]))
+            assert ring.slots[k, :len(want)].tolist() == want
+    assert ring.inserted_local == sum(int(c.sum()) for _, c in calls)
     assert ring.inserted_received == 0
+
+
+def test_repeated_overflowing_insert_matches_a_list_ring():
+    """A matrix that brings a learner more ids than the capacity, given
+    again and again (the same object and an equal copy) with a smaller
+    one between, matches the list ring after every call."""
+    capacity = 4
+    ring = ReplayBuffer(2, capacity)
+    big = np.array([[3, 4], [1, 0]])  # learner 0 takes 7 > 4 ids
+    small = np.array([[1, 0], [2, 1]])
+    inserts = [[], []]
+    for call, copies in enumerate([big, big, small, big.copy(), big]):
+        rows = 10 * call + np.arange(2)
+        ring.insert(copies, rows)
+        for k in range(2):
+            inserts[k].append(np.repeat(rows, copies[k]).tolist())
+            want = _list_ring(capacity, inserts[k])
+            assert ring.slots[k, :len(want)].tolist() == want
+    assert ring.counts.tolist() == [29, 7]
+
+
+def test_insert_plans_stay_bounded():
+    ring = ReplayBuffer(1, 1000)
+    for n in range(3 * ReplayBuffer.PLANS):
+        ring.insert(np.array([[n % 5, n]]), np.array([n, n + 1]))
+        assert len(ring._plans) <= ReplayBuffer.PLANS
+    assert ring.counts.tolist() == [sum(n % 5 + n for n in
+                                        range(3 * ReplayBuffer.PLANS))]
 
 
 def test_insert_counters_split_local_and_received():

@@ -1,4 +1,5 @@
-"""Microbenchmark of the stacked SGD step, ``qnet.train_step``.
+"""Microbenchmark of the stacked SGD step, ``qnet.train_step``, and of
+the greedy acting pass, ``qnet.select_action``.
 
     python3 tools/bench_sgd_step.py [--steps 200] [--repeats 5] [--jobs 0]
 
@@ -9,10 +10,13 @@ workspace, as ``training.run_training`` does. After a warm-up it times
 and prints the best round's microseconds per step, the minor page
 faults per step the process took over all rounds
 (``resource.getrusage``), and the bytes of the workspace (each distinct
-array once, so views of one array count as that array). With --jobs N it then runs N whole
-hex19-share jobs of the benchmark in ``perfbench/`` after one warm-up
-job and prints their minor faults per job. The last line is all of it
-as JSON. BLAS runs on one thread, as in the benchmark.
+array once, so views of one array count as that array). It times the
+acting pass the same way: ``select_action`` at epsilon 0 on one state
+per agent through a batch-1 workspace, best round's microseconds per
+call. With --jobs N it then runs N whole hex19-share jobs of the
+benchmark in ``perfbench/`` after one warm-up job and prints their
+minor faults per job. The last line is all of it as JSON. BLAS runs on
+one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -60,6 +64,18 @@ def workspace_bytes(workspace: qnet.Workspace) -> int:
     return sum(owner.nbytes for owner in owners.values())
 
 
+def best_round_us(call, calls: int, repeats: int) -> float:
+    """Best of ``repeats`` rounds of ``calls`` calls of ``call(k)``, in
+    microseconds per call."""
+    rounds = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for k in range(calls):
+            call(k)
+        rounds.append(time.perf_counter() - t0)
+    return 1e6 * min(rounds) / calls
+
+
 def bench_stack(agents: int, steps: int, repeats: int) -> dict:
     rng = np.random.default_rng(agents)
     net = qnet.QNetwork.stack([qnet.QNetwork(STATE, ACTIONS, rng=rng)
@@ -78,17 +94,23 @@ def bench_stack(agents: int, steps: int, repeats: int) -> dict:
 
     for k in range(MINIBATCHES):
         step(k)
-    rounds = []
     faults = minor_faults()
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for k in range(steps):
-            step(k)
-        rounds.append(time.perf_counter() - t0)
+    step_us = best_round_us(step, steps, repeats)
     faults = minor_faults() - faults
-    return {"agents": agents, "step_us": 1e6 * min(rounds) / steps,
+
+    acting = qnet.Workspace(net, 1)
+    states = [rng.normal(size=(agents, STATE)) for _ in range(MINIBATCHES)]
+    rngs = [np.random.default_rng(k) for k in range(agents)]
+
+    def act(k):
+        qnet.select_action(net, states[k % MINIBATCHES], 0.0, rngs, acting)
+
+    for k in range(MINIBATCHES):
+        act(k)
+    return {"agents": agents, "step_us": step_us,
             "faults_per_step": faults / (steps * repeats),
-            "workspace_bytes": workspace_bytes(workspace)}
+            "workspace_bytes": workspace_bytes(workspace),
+            "act_us": best_round_us(act, steps, repeats)}
 
 
 def bench_jobs(jobs: int, seed: int) -> dict:
@@ -126,9 +148,9 @@ def main(argv=None) -> int:
         row = bench_stack(agents, args.steps, args.repeats)
         report["stacks"].append(row)
         print("K=%-3d %9.1f us/step %9.2f minor faults/step "
-              "%10d workspace bytes"
+              "%10d workspace bytes %8.1f us/greedy act"
               % (agents, row["step_us"], row["faults_per_step"],
-                 row["workspace_bytes"]))
+                 row["workspace_bytes"], row["act_us"]))
     if args.jobs:
         report["jobs"] = bench_jobs(args.jobs, args.seed)
         print("hex19-share seed %d: minor faults per job %s"
