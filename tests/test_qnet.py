@@ -169,16 +169,6 @@ def test_train_step_raises_on_nonfinite_loss():
                        Workspace(net, 1))
 
 
-def _filled_workspace(net, batch):
-    """A workspace whose every array holds 7.0, so a test can tell
-    whether a pass wrote to it."""
-    workspace = Workspace(net, batch)
-    for array in workspace.outs + workspace.spreads + [
-            workspace.dz1, workspace.dz2, *workspace.grads.values()]:
-        array.fill(7.0)
-    return workspace
-
-
 @pytest.mark.parametrize("bad", ["rewards (B,)", "rewards (K, 1)",
                                  "float actions", "bool actions"])
 def test_malformed_minibatch_is_refused_before_any_pass(bad):
@@ -197,7 +187,11 @@ def test_malformed_minibatch_is_refused_before_any_pass(bad):
     else:
         actions = actions > 0
     before = net.copy()
-    workspace = _filled_workspace(net, 4)
+    workspace = Workspace(net, 4)
+    # a pass would overwrite these
+    written = workspace.outs + list(workspace.grads.values())
+    for array in written:
+        array.fill(7.0)
     with pytest.raises(ContractViolation):
         train_step(net, target, states, actions, rewards, next_states, 0.9,
                    0.05, workspace)
@@ -205,8 +199,7 @@ def test_malformed_minibatch_is_refused_before_any_pass(bad):
         loss_and_gradients(net, target, states, actions, rewards,
                            next_states, 0.9)
     assert same_weights(net, before)
-    assert all(np.all(array == 7.0) for array in
-               workspace.outs + [*workspace.grads.values()])
+    assert all(np.all(array == 7.0) for array in written)
 
 
 _sgd_cases = st.tuples(st.integers(1, 4), st.integers(1, 8),
