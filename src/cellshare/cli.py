@@ -295,7 +295,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # here; --help and --version exit 0
         return EXIT_CONFIG if stop.code else EXIT_OK
     try:
-        return args.func(args)
+        # every non-finite value meets an explicit refusal, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG

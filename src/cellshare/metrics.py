@@ -2,9 +2,8 @@
 
 All numeric CSV cells use 12 significant digits so that repeated runs
 produce byte-identical files and parsing a file and re-serializing it
-reproduces the bytes. ``format_cell`` is the rule for a cell;
-``write_csv`` renders a row of plain ints, floats and strings with one
-%-format that applies the same rule to each.
+reproduces the bytes. ``_CELL_FORMATS`` is the rule for a cell: a CSV
+cell is a plain int, float or str, and ``write_csv`` refuses any other.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import numpy as np
 
 from .errors import ContractViolation
 
-METRICS_HEADER = ("episode", "step", "agent", "reward", "loss", "epsilon",
-                  "shared_tx", "shared_rx")
 SINR_HEADER = ("episode", "cell", "ue", "sinr_db")
 SUMRATE_HEADER = ("episode", "sum_rate")
 OVERHEAD_HEADER = ("step", "agent", "experiences_tx", "scalars_tx")
@@ -37,6 +34,9 @@ class StepRow(NamedTuple):
     epsilon: float
     shared_tx: int
     shared_rx: int
+
+
+METRICS_HEADER = StepRow._fields
 
 
 @dataclass
@@ -101,44 +101,28 @@ def ccdf_grid(samples_db: Sequence[float]) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=float)
 
 
-def format_cell(value) -> str:
-    """Canonical CSV cell rendering (12 significant digits)."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.12g" % float(value)
-
-
-# format_cell's rule for each plain cell type, as a %-format
+# the rendering of each CSV cell type (12 significant digits for a float)
 _CELL_FORMATS = {int: "%d", float: "%.12g", str: "%s"}
-
-
-def _row_format(kinds: Sequence[type]) -> str | None:
-    """The %-format that renders a row of exactly these cell types as
-    ``format_cell`` does, or None if one of them is not a plain int,
-    float or str."""
-    if not all(kind in _CELL_FORMATS for kind in kinds):
-        return None
-    return ",".join(_CELL_FORMATS[kind] for kind in kinds)
 
 
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
-    """One line per row, each cell as ``format_cell`` renders it. A row
-    of plain ints, floats and strings takes one %-format, made again
-    only where a row's cell types differ from the row before; any other
-    row goes cell by cell."""
+    """One line per row, each cell rendered by ``_CELL_FORMATS``. A row
+    takes one %-format, made again only where a row's cell types differ
+    from the row before. A cell that is not a plain int, float or str (a
+    bool, a numpy scalar, None) is refused before the file is opened."""
     lines = [",".join(header)]
     kinds = fmt = None
     for row in rows:
         row_kinds = [type(v) for v in row]
         if row_kinds != kinds:
-            kinds, fmt = row_kinds, _row_format(row_kinds)
-        lines.append(",".join(map(format_cell, row)) if fmt is None
-                     else fmt % tuple(row))
+            for kind in row_kinds:
+                if kind not in _CELL_FORMATS:
+                    raise ContractViolation("CSV row %d has a %s cell"
+                                            % (len(lines), kind.__name__))
+            kinds = row_kinds
+            fmt = ",".join([_CELL_FORMATS[kind] for kind in kinds])
+        lines.append(fmt % tuple(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,7 +1,7 @@
 """The per-run transition table and the run's replay: one bounded FIFO
 ring of row ids into it per learner, as rows of one id matrix. An insert
 places its ids with one fancy assignment, by a plan that depends on its
-copies matrix alone and is kept for the matrices a run inserts again."""
+copies matrix alone; the last plan of each insert kind is kept."""
 
 from __future__ import annotations
 
@@ -63,12 +63,10 @@ class ReplayBuffer:
     n-th id ever inserted sits in ``slots[k, n % capacity]``.
 
     An insert places ids by a plan that depends on the copies matrix
-    alone. A run inserts the same few matrices step after step (its
-    constant local routing, share-all's mask), so the last ``PLANS``
-    plans are kept, keyed by the matrix's value; a plan whose call
-    evicts its own ids is never kept."""
-
-    PLANS = 8
+    and the capacity alone. A run inserts the same matrix step after
+    step (its constant local routing, share-all's mask), so the last
+    plan of each kind, local and received, is kept, keyed by the
+    matrix's value."""
 
     def __init__(self, learners: int, capacity: int):
         if learners < 1 or capacity < 1:
@@ -78,7 +76,7 @@ class ReplayBuffer:
         self.counts = np.zeros(learners, dtype=int)
         self.inserted_local = 0
         self.inserted_received = 0
-        self._plans = {}
+        self._plans = {False: (None, None), True: (None, None)}
 
     def _plan(self, copies: np.ndarray):
         """(taken, total, learner, j, offset): the ids each learner
@@ -101,14 +99,9 @@ class ReplayBuffer:
                received: bool = False) -> None:
         """Give learner k ``copies[k, j]`` ids ``rows[j]``, in j order."""
         key = (copies.dtype.str, copies.shape, copies.tobytes())
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plan(copies)
-            if len(plan[2]) == plan[1]:  # no id evicted by its own call
-                if len(self._plans) == self.PLANS:
-                    del self._plans[next(iter(self._plans))]
-                self._plans[key] = plan
-        taken, total, learner, j, offset = plan
+        if self._plans[received][0] != key:
+            self._plans[received] = key, self._plan(copies)
+        taken, total, learner, j, offset = self._plans[received][1]
         self.slots[learner, (self.counts[learner] + offset)
                    % self.capacity] = rows[j]
         self.counts += taken

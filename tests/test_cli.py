@@ -1,8 +1,8 @@
 """CLI subcommands, exit codes, artifacts and reproducibility."""
 
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from conftest import small_run_config, tiny_config
@@ -151,9 +151,8 @@ def test_training_fault_exits_runtime_with_partial_artifacts(tmp_path,
     cfg = small_run_config(learning_rate=1e15)
     conf = _config_file(tmp_path, cfg)
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", conf, "--framework",
-                     "share-nothing", "--seed", "12", "--out", str(out)])
+    code = main(["train", "--config", conf, "--framework",
+                 "share-nothing", "--seed", "12", "--out", str(out)])
     assert code == EXIT_RUNTIME
     assert "aborted" in capsys.readouterr().err
     info = json.loads((out / "run.json").read_text())
@@ -161,15 +160,29 @@ def test_training_fault_exits_runtime_with_partial_artifacts(tmp_path,
     assert (out / "metrics.csv").is_file()
 
 
+def test_diverging_run_prints_one_line_and_no_numpy_warning(tmp_path,
+                                                             capsys):
+    # the overflow is refused as a TrainingFault, so numpy's warning
+    # and its source line would only be noise before that one line
+    cfg = small_run_config(learning_rate=1e15, steps_per_episode=20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", _config_file(tmp_path, cfg),
+                     "--framework", "smart", "--out", str(tmp_path / "run")])
+    assert code == EXIT_RUNTIME
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("training aborted: non-finite training loss")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_aborted_run_reports_the_epsilon_it_stopped_at(tmp_path):
     # training starts in episode 1, so the fault comes after a decay
     cfg = small_run_config(learning_rate=1e15, episodes=4, batch_size=40,
                            buffer_capacity=100)
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", _config_file(tmp_path, cfg),
-                     "--framework", "smart", "--seed", "3",
-                     "--out", str(out)])
+    code = main(["train", "--config", _config_file(tmp_path, cfg),
+                 "--framework", "smart", "--seed", "3", "--out", str(out)])
     assert code == EXIT_RUNTIME
     info = json.loads((out / "run.json").read_text())
     assert info["status"].startswith("aborted")

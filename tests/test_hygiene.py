@@ -2,9 +2,11 @@
 or ``tools/`` imports is used, ``src/`` imports nothing beyond numpy
 and the standard library, and every public name in ``src/`` (a class's
 methods, properties and dataclass fields included) is read by ``src/``
-or ``perfbench/``."""
+or ``perfbench/``, and every function the benchmark's tracer wraps is
+there."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -151,3 +153,31 @@ def test_no_unread_public_names():
         + "\n".join(found)
     stale = sorted(set(KEEP_UNREAD) & (names | attributes))
     assert not stale, "kept as unread but read: %s" % ", ".join(stale)
+
+
+def tracer_targets():
+    """The (module, attribute) pairs of ``TARGETS`` in
+    ``perfbench/tracing.py``, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) \
+                and getattr(node.target, "id", None) == "TARGETS":
+            return [(module, attr) for module, attr, _span
+                    in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_benchmark_tracer_targets_resolve():
+    """A rename or deletion of a traced function fails here, not in the
+    benchmark's traced run. A method is looked up in its class's
+    ``__dict__``, as the tracer patches it."""
+    missing = []
+    for module_name, attr in tracer_targets():
+        owner = importlib.import_module(module_name)
+        *classes, name = attr.split(".")
+        for cls_name in classes:
+            owner = getattr(owner, cls_name, None)
+        found = vars(owner).get(name) if owner is not None else None
+        if not callable(found):
+            missing.append("%s.%s" % (module_name, attr))
+    assert not missing, "traced but not defined: " + ", ".join(missing)

@@ -16,7 +16,6 @@ from cellshare.metrics import (
     ccdf,
     ccdf_grid,
     final_quarter_sum_rate,
-    format_cell,
     network_sum_rate,
     read_csv,
     write_csv,
@@ -103,14 +102,11 @@ def test_ccdf_grid_refuses_more_levels_than_its_limit():
             ccdf_grid([0.0, high])
 
 
-def test_format_cell_canonical_forms():
-    assert format_cell(2.0 / 3.0) == "0.666666666667"
-    assert format_cell(1e-11) == "1e-11"
-    assert format_cell(5) == "5"
-    assert format_cell(np.float64(0.25)) == "0.25"
-    assert format_cell(float("nan")) == "nan"
-    assert format_cell("smart") == "smart"
-    assert format_cell(True) == "true"
+def test_write_csv_canonical_forms(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(str(path), ("a",), [(2.0 / 3.0,), (1e-11,), (5,),
+                                  (float("nan"),), ("smart",)])
+    assert path.read_text() == "a\n0.666666666667\n1e-11\n5\nnan\nsmart\n"
 
 
 def test_csv_round_trip_is_byte_stable(tmp_path):
@@ -126,30 +122,48 @@ def test_csv_round_trip_is_byte_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-_CELLS = [0, 7, -3, 10 ** 30, 2.0 / 3.0, float("nan"), math.inf, -math.inf,
-          -0.0, 1e-300, 1e300, 5e-324, True, False, np.int64(-4),
-          np.int8(9), np.float64(0.25), np.float32(0.1), np.bool_(True),
-          np.bool_(False), "smart", "", "a b"]
+def _rendered(value):
+    """A CSV cell's rendering, written out apart from ``write_csv``."""
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, int) else format(value, ".12g")
+
+
+_CELLS = [0, 7, -3, 10 ** 30, -10 ** 30, 2.0 / 3.0, float("nan"), math.inf,
+          -math.inf, -0.0, 1e-300, 1e300, 5e-324, 0.1, "smart", "", "a b"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.lists(st.sampled_from(_CELLS), max_size=6),
                           st.booleans()), max_size=8))
-def test_write_csv_renders_every_cell_as_format_cell(tmp_path_factory,
-                                                     drawn):
-    """Byte for byte the header and one ``format_cell`` join per row,
-    for rows (lists or tuples) that mix plain and numpy ints, floats
-    and bools with strings, rows that repeat a row's cell types, and no
-    rows at all."""
+def test_write_csv_renders_each_cell_by_its_type(tmp_path_factory, drawn):
+    """Byte for byte the header and one rendering per cell, for rows
+    (lists or tuples) of plain ints, floats and strings, rows that
+    repeat a row's cell types, and no rows at all."""
     rows = [tuple(cells) if as_tuple else cells for cells, as_tuple in drawn]
     rows += rows[:2]
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     write_csv(str(path), ("a", "b"), rows)
-    want = "".join(",".join(format_cell(v) for v in row) + "\n"
+    want = "".join(",".join(map(_rendered, row)) + "\n"
                    for row in [("a", "b")] + rows)
     assert path.read_bytes() == want.encode("utf-8")
     write_csv(str(path), ("a", "b"), iter(()))
     assert path.read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize("cell", [True, np.bool_(True), np.int64(4),
+                                  np.float64(0.25), None],
+                         ids=["bool", "np.bool_", "np.int64", "np.float64",
+                              "None"])
+def test_write_csv_refuses_a_cell_that_is_not_int_float_or_str(tmp_path,
+                                                                cell):
+    # first in the first row, and after a plain row of the same length
+    path = tmp_path / "out.csv"
+    for rows in ([(cell, 1.5)], [(3, 1.5), (cell, 1.5)]):
+        with pytest.raises(ContractViolation,
+                           match="a %s cell" % type(cell).__name__):
+            write_csv(str(path), ("a", "b"), rows)
+        assert not path.exists()
 
 
 def test_read_csv_rejects_empty(tmp_path):

@@ -51,11 +51,11 @@ def test_fifo_eviction_order():
 
 @st.composite
 def _ragged_calls(draw):
-    """(learners, capacity, cells, calls): each call a (reuse, copies)
-    pair whose (learners, cells) copies matrix may bring a row more ids
-    than the capacity. The matrices come from a small pool, so values
-    repeat; a reuse call refills one shared array of ``cells`` columns
-    in place with them."""
+    """(learners, capacity, cells, calls): each call a (reuse, copies,
+    received) triple whose (learners, cells) copies matrix may bring a
+    row more ids than the capacity. The matrices come from a small pool,
+    so values repeat, as local and as received inserts; a reuse call
+    refills one shared array of ``cells`` columns in place with them."""
     learners = draw(st.integers(1, 4))
     capacity = draw(st.integers(1, 50))
     top = draw(st.sampled_from([3, 30]))
@@ -73,7 +73,7 @@ def _ragged_calls(draw):
     for _ in range(draw(st.integers(0, 12))):
         reuse = draw(st.booleans())
         calls.append((reuse, draw(st.sampled_from(
-            shared_pool if reuse else other_pool))))
+            shared_pool if reuse else other_pool)), draw(st.booleans())))
     return learners, capacity, cells, calls
 
 
@@ -83,27 +83,31 @@ def test_id_ring_matches_a_list_ring(case):
     # the same ids in cell order, also where one call brings it more
     # than `capacity` ids and so evicts its own first ones, and where
     # one copies array, changed in place or not, comes back call after
-    # call between other matrices
+    # call between other matrices, as a local or a received insert
     learners, capacity, cells, calls = case
     ring = ReplayBuffer(learners, capacity)
     shared = np.zeros((learners, cells), dtype=int)
     inserts = [[] for _ in range(learners)]
     first = 0
-    for reuse, values in calls:
+    for reuse, values, received in calls:
         copies = values
         if reuse:
             shared[...] = values
             copies = shared
         rows = first + np.arange(copies.shape[1])
         first += copies.shape[1]
-        ring.insert(copies, rows)
+        ring.insert(copies, rows, received=received)
         for k in range(learners):
             inserts[k].append(np.repeat(rows, values[k]).tolist())
             want = _list_ring(capacity, inserts[k])
             assert ring.counts[k] == sum(map(len, inserts[k]))
             assert ring.slots[k, :len(want)].tolist() == want
-    assert ring.inserted_local == sum(int(c.sum()) for _, c in calls)
-    assert ring.inserted_received == 0
+    assert ring.inserted_local == sum(int(c.sum())
+                                      for _, c, received in calls
+                                      if not received)
+    assert ring.inserted_received == sum(int(c.sum())
+                                         for _, c, received in calls
+                                         if received)
 
 
 def test_repeated_overflowing_insert_matches_a_list_ring():
@@ -125,13 +129,30 @@ def test_repeated_overflowing_insert_matches_a_list_ring():
     assert ring.counts.tolist() == [29, 7]
 
 
-def test_insert_plans_stay_bounded():
-    ring = ReplayBuffer(1, 1000)
-    for n in range(3 * ReplayBuffer.PLANS):
-        ring.insert(np.array([[n % 5, n]]), np.array([n, n + 1]))
-        assert len(ring._plans) <= ReplayBuffer.PLANS
-    assert ring.counts.tolist() == [sum(n % 5 + n for n in
-                                        range(3 * ReplayBuffer.PLANS))]
+def test_one_plan_is_kept_per_insert_kind(monkeypatch):
+    """A constant local matrix inserted between 20 distinct received
+    ones is planned once, and the ring keeps one plan of each kind."""
+    ring = ReplayBuffer(3, 1000)
+    planned = []
+    plan = ring._plan
+
+    def counted(copies):
+        planned.append(copies.copy())
+        return plan(copies)
+
+    monkeypatch.setattr(ring, "_plan", counted)
+    local = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for n in range(20):
+        ring.insert(local, np.arange(3))
+        received = np.array([[0, n % 2, 1], [n // 2 % 2, 0, 0],
+                             [n // 4 % 2, n // 8 % 2, n // 16]])
+        ring.insert(received, np.arange(3), received=True)
+        assert len(planned) == n + 2
+        assert len(ring._plans) <= 2
+    ring.insert(local, np.arange(3))
+    assert len(planned) == 21
+    assert sum(np.array_equal(p, local) for p in planned) == 1
+    assert ring.inserted_local == 21 * 3
 
 
 def test_insert_counters_split_local_and_received():
