@@ -143,8 +143,8 @@ def default_config() -> RunConfig:
 def parse_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse config text over the defaults.
 
-    Unknown sections/keys and malformed lines raise ConfigError with the
-    offending line number so CLI users get an actionable message.
+    Unknown sections or keys, a key set twice under one header and bad
+    lines raise ConfigError naming the line, for an actionable CLI message.
     """
     cfg = default_config()
     section = None
@@ -161,7 +161,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
             if name not in _SCHEMA:
                 raise ConfigError("%s line %d: unknown section [%s]"
                                   % (source, lineno, name))
-            section = name
+            section, opened = name, lineno
             continue
         if "=" not in line:
             raise ConfigError("%s line %d: expected 'key = value', got %r"
@@ -175,6 +175,9 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         if key not in _SCHEMA[section]:
             raise ConfigError("%s line %d: unknown key %r in [%s]"
                               % (source, lineno, key, section))
+        if lines_seen.get((section, key), 0) > opened:
+            raise ConfigError("%s line %d: %r already set on line %d" % (
+                source, lineno, key, lines_seen[section, key]))
         attr, conv = _SCHEMA[section][key]
         try:
             parsed = conv(value)

@@ -70,7 +70,8 @@ def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
                        config: NetworkConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Decode and apply each agent's joint action to its cell.
 
-    Beams move one codebook step and saturate at both ends.
+    Beams move one codebook step and saturate at both ends. The caller
+    checks the previous beams (``Environment.step``, the oracle entries).
     """
     power_steps, beam_steps = _command_table(config.users_per_cell)
     n = len(power_steps)
@@ -82,18 +83,12 @@ def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
         bad = (index < 0) | (index >= n)
         raise ContractViolation("action index %d outside [0, %d)"
                                 % (index[bad][0], n))
-    size = config.codebook_size
     prev_beams = np.asarray(prev_beams, dtype=int)
-    if np.count_nonzero(prev_beams < 0) \
-            or np.count_nonzero(prev_beams >= size):
-        bad = (prev_beams < 0) | (prev_beams >= size)
-        raise ContractViolation("beam index %d outside codebook"
-                                % prev_beams[bad][0])
     new_powers = apply_power_command(
         prev_powers_dbm, power_steps.take(index, axis=0), config)
     new_beams = prev_beams + beam_steps.take(index, axis=0)
     np.maximum(new_beams, 0, out=new_beams)
-    np.minimum(new_beams, size - 1, out=new_beams)
+    np.minimum(new_beams, config.codebook_size - 1, out=new_beams)
     return new_powers, new_beams
 
 

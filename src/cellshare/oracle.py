@@ -42,10 +42,17 @@ def _product_rows(n: int, repeat: int) -> np.ndarray:
                     axis=-1)
 
 
+def _refuse_outside_codebook(beams: np.ndarray, codebook: Codebook) -> None:
+    """Refuse beams that apply_joint_action would clamp, ``take`` wrap."""
+    if np.count_nonzero(beams < 0) or np.count_nonzero(beams >= codebook.size):
+        raise ContractViolation("beam index outside codebook")
+
+
 def evaluate_configuration(channels: ChannelSet, powers_dbm: np.ndarray,
                            beams: np.ndarray, config: NetworkConfig,
                            codebook: Codebook) -> float:
     """Network sum-rate of one explicit power/beam configuration."""
+    _refuse_outside_codebook(np.asarray(beams), codebook)
     powers_mw = db_to_linear(np.asarray(powers_dbm, dtype=float))
     return float(_sum_rates(channels, powers_mw[None],
                             np.asarray(beams)[None], config, codebook)[0])
@@ -109,6 +116,7 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
     if powers_dbm.shape != (L, U) or beams.shape != (L, U):
         raise ContractViolation(
             "powers and beams must be (cells, users_per_cell)")
+    _refuse_outside_codebook(beams, codebook)
 
     # (L, n_actions, U): every action applied to every cell at once
     cell_powers, cell_beams = control.apply_joint_action(

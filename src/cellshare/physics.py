@@ -13,7 +13,8 @@ product over the serving-CSI diagonal, with cells as the leading axis.
 powers and beams of shape (..., L, U), every field of the PowerTable and
 the SINR carry the same leading axes, and each batch row equals the
 unbatched call on that row bit for bit. The oracle searches score many
-configurations per call this way.
+configurations per call this way. The step and the oracle entries
+check the beams; every power is ``db_to_linear``'s, so >= 0.
 """
 
 from __future__ import annotations
@@ -55,23 +56,12 @@ def _beam_gain(channels: np.ndarray, beams: np.ndarray,
     return np.abs(inner) ** 2
 
 
-def _check_controls(powers_mw: np.ndarray, beam_indices: np.ndarray,
-                    codebook: Codebook) -> None:
-    """Refuse negative powers and beam indices outside the codebook (a
-    negative index would silently wrap in ``codebook.vectors.take``)."""
-    if np.count_nonzero(powers_mw < 0.0):
-        raise ContractViolation("transmit powers must be non-negative")
-    if np.count_nonzero(beam_indices < 0) \
-            or np.count_nonzero(beam_indices >= codebook.size):
-        raise ContractViolation("beam index outside codebook")
-
-
 def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
                     beam_indices: np.ndarray, codebook: Codebook) -> PowerTable:
     """Decompose every user's received power into serving/intra/inter.
 
-    powers_mw and beam_indices are (L, U), or (..., L, U) with the same
-    leading batch axes on both; the table then carries those axes too.
+    powers_mw and beam_indices, checked by the caller, are (L, U), or
+    (..., L, U) with one leading batch shape, which the table carries too.
     """
     L, Lj, U, M = channels.vectors.shape
     powers_mw = np.asarray(powers_mw, dtype=float)
@@ -80,7 +70,6 @@ def received_powers(channels: ChannelSet, powers_mw: np.ndarray,
             or beam_indices.shape != powers_mw.shape:
         raise ContractViolation(
             "powers and beam indices must be (..., L, U) of one shape")
-    _check_controls(powers_mw, beam_indices, codebook)
     if codebook.antennas != M:
         raise ContractViolation("codebook antenna count does not match channels")
 
@@ -124,8 +113,8 @@ def measure_inter_cell(reported_sinr: np.ndarray, prev_powers_mw: np.ndarray,
     slice [l, l, u] of the channel tensor. All cells are measured in one
     call: the (L, U, M) serving diagonal times the (L, M, U) beams gives
     every cell's (victim, beam) gains at once. Reports, powers and beams
-    must all be (L, U), powers non-negative and beams inside the
-    codebook. Raises MeasurementError for non-positive reports
+    must all be (L, U); ``Environment.step`` has checked the powers and
+    beams. Raises MeasurementError for non-positive reports
     (a real report of a received signal is > 0).
     """
     L, _, U, _ = prev_channels.vectors.shape
@@ -136,7 +125,6 @@ def measure_inter_cell(reported_sinr: np.ndarray, prev_powers_mw: np.ndarray,
         raise ContractViolation("reported SINR must be (L, U)")
     if prev_powers_mw.shape != (L, U) or prev_beams.shape != (L, U):
         raise ContractViolation("powers and beam indices must be (L, U)")
-    _check_controls(prev_powers_mw, prev_beams, codebook)
     usable = (reported_sinr > 0.0) & (reported_sinr < np.inf)  # NaN fails
     if np.count_nonzero(usable) < usable.size:
         raise MeasurementError("SINR reports must be positive and finite")

