@@ -116,6 +116,9 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
     if powers_dbm.shape != (L, U) or beams.shape != (L, U):
         raise ContractViolation(
             "powers and beams must be (cells, users_per_cell)")
+    if codebook.size != config.codebook_size:  # moves clamp to the config
+        raise ContractViolation("codebook of %d beams, config of %d"
+                                % (codebook.size, config.codebook_size))
     _refuse_outside_codebook(beams, codebook)
 
     # (L, n_actions, U): every action applied to every cell at once

@@ -1,8 +1,10 @@
-"""Training orchestration: episodes, the act/share/train step loop,
-greedy evaluation rollouts and run artifacts.
+"""Training orchestration: one acting loop, shared by training and
+greedy evaluation, and the run artifacts.
 
-Every step has three strictly ordered stages: the agents' stacked
-network acts for all cells, then each cell's transition is stored once
+``_rollout`` acts every step: the acting stack picks each cell's action,
+``Environment.step`` advances, and the caller's ``learn`` stage returns
+the rows to log (evaluation's learns nothing). Training's stages are
+strictly ordered: after the act, each cell's transition is stored once
 in the run's ``TransitionTable`` (its learner's ring in the run's one
 ``ReplayBuffer`` takes one id per user, ctde's in cell order), the share
 rule's (sender, user, receiver) mask of experiences is delivered as ids
@@ -12,17 +14,17 @@ per ring, gated until every ring holds a batch, with its arrays in the
 run's one ``qnet.Workspace``. What differs between frameworks (own or
 common training reward, the share rule, the learners) comes from
 ``sharing.BEHAVIOUR``; each cell's ledger charge follows from the step's
-share mask and that row. The environment advance is ``Environment.step``.
-A non-finite loss ends the run with a ``TrainingFault`` carrying the
-partial artifacts; its step changed no weight and is not counted in
-``train_step_count``, and their ``final_epsilon`` is the one it acted at.
+share mask and that row. A non-finite loss ends the run with a
+``TrainingFault`` carrying the partial artifacts; its step changed no
+weight and is not counted in ``train_step_count``, and their
+``final_epsilon`` is the one it acted at.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,13 +51,31 @@ class RunArtifacts:
     final_epsilon: float = 0.0  # after the run, or at its faulting step
 
 
-def _log_step(log: MetricsLog, episode: int, t: int, rewards: Sequence[float],
-              losses: Sequence[float], epsilon: float, sent: Sequence[int],
-              received: Sequence[int]) -> None:
-    log.step_rows.extend(
-        StepRow(episode, t, ell, reward, loss, epsilon, tx, rx)
-        for ell, (reward, loss, tx, rx)
-        in enumerate(zip(rewards, losses, sent, received)))
+def _rollout(env: Environment, agents: QNetwork,
+             rngs: Sequence[np.random.Generator], epsilons: Sequence[float],
+             steps: int, log: MetricsLog, learn: Callable) -> None:
+    """The one acting loop: an episode of ``steps`` steps per epsilon.
+
+    Each step the stack acts in one acting workspace, the environment
+    advances, and ``learn(step, states, actions, result, next_states)``
+    returns the step's per-cell rewards, losses, sent and received
+    counts, logged as one row per cell."""
+    acting = Workspace(agents, 1)
+    for episode, epsilon in enumerate(epsilons):
+        env.reset()
+        states = env.states()
+        for t in range(steps):
+            actions = select_action(agents, states, epsilon, rngs, acting)
+            result = env.step(actions)
+            next_states = env.states()
+            rewards, losses, sent, received = learn(
+                episode * steps + t, states, actions, result, next_states)
+            log.step_rows.extend(
+                StepRow(episode, t, ell, reward, loss, epsilon, tx, rx)
+                for ell, (reward, loss, tx, rx)
+                in enumerate(zip(rewards, losses, sent, received)))
+            states = next_states
+        log.add_episode(episode, result.sinr)  # the last step's SINRs
 
 
 def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
@@ -89,7 +109,6 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
         else streams[2:3 * L:3]
     target = learner.copy()
     workspace = Workspace(learner, tr_cfg.batch_size)  # every step's arrays
-    acting = Workspace(agents, 1)
     owner = np.arange(L) % len(learner)  # the learner of each cell's rows
     replay = ReplayBuffer(len(learner), tr_cfg.buffer_capacity)
     own = U * (np.arange(len(learner))[:, None] == owner)  # (learner, cell)
@@ -108,7 +127,10 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
                              central_net=learner[0] if behaviour.central
                              else None)
 
-    epsilon = tr_cfg.epsilon_start
+    epsilons = [tr_cfg.epsilon_start]  # each episode's, then the final one
+    for _ in range(tr_cfg.episodes):
+        epsilons.append(max(epsilons[-1] * tr_cfg.epsilon_decay,
+                            tr_cfg.epsilon_min))
     no_losses = [math.nan] * L
     ready = False  # every ring holds a batch (rings never shrink)
     # the charge of a framework without a share rule is the same every
@@ -117,78 +139,59 @@ def run_training(cfg: RunConfig, framework: str, seed: int) -> RunArtifacts:
     received = [0] * L
     scalars = sent * experience_scalars(U) + behaviour.common_reward
 
+    def learn(step_idx, states, actions, result, next_states):
+        nonlocal ready, train_steps, sent, received, scalars
+        if not all(map(math.isfinite, result.rewards)):
+            raise TrainingFault("non-finite reward at step %d" % step_idx)
+        train_rewards = result.rewards
+        if behaviour.common_reward:
+            train_rewards = [sharing.crdu_reward(
+                result.rewards, result.punished, net_cfg.punishment)] * L
+
+        # --- store -------------------------------------------------------
+        rows = table.store(step_idx, states, actions, train_rewards,
+                           next_states)
+        replay.insert(own, rows)
+
+        # --- sharing barrier ---------------------------------------------
+        if behaviour.share is not None:
+            mask = behaviour.share(result.estimates,
+                                   result.table.inter_by_source,
+                                   net_cfg.interference_threshold_mw,
+                                   sh_cfg.attribution)
+            sharing.deliver(mask, rows, replay)
+            received = np.add.reduce(mask, axis=(0, 1)).tolist()
+            sent = np.add.reduce(mask, axis=(1, 2))
+            scalars = sent * experience_scalars(U) + behaviour.common_reward
+
+        # --- train -------------------------------------------------------
+        losses = no_losses
+        ready = ready or \
+            replay.counts.min() >= tr_cfg.batch_size  # <= capacity
+        if ready:
+            ids = replay.sample(tr_cfg.batch_size, sample_rngs)
+            step_losses = train_step(
+                learner, target, *table.batch(ids), tr_cfg.discount,
+                tr_cfg.learning_rate, workspace)
+            train_steps += 1
+            if train_steps % tr_cfg.target_refresh_steps == 0:
+                target.load_from(learner)
+            losses = step_losses[owner].tolist()
+        charge = scalars
+        if behaviour.central and \
+                (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
+            charge = scalars + sharing.ctde_sync(learner, agents) // L
+        ledger.record_step(step_idx, sent, charge)
+        return train_rewards, losses, sent.tolist(), received
+
     try:
-        for episode in range(tr_cfg.episodes):
-            env.reset()
-            states = env.states()
-
-            for t in range(T):
-                step_idx = episode * T + t
-
-                # --- act and advance ------------------------------------
-                actions = select_action(agents, states, epsilon, action_rngs,
-                                        acting)
-                result = env.step(actions)
-
-                if not all(map(math.isfinite, result.rewards)):
-                    raise TrainingFault("non-finite reward at step %d"
-                                        % step_idx)
-                train_rewards = result.rewards
-                if behaviour.common_reward:
-                    train_rewards = [sharing.crdu_reward(
-                        result.rewards, result.punished,
-                        net_cfg.punishment)] * L
-                next_states = env.states()
-
-                # --- store -----------------------------------------------
-                rows = table.store(step_idx, states, actions, train_rewards,
-                                   next_states)
-                replay.insert(own, rows)
-
-                # --- sharing barrier -------------------------------------
-                if behaviour.share is not None:
-                    mask = behaviour.share(result.estimates,
-                                           result.table.inter_by_source,
-                                           net_cfg.interference_threshold_mw,
-                                           sh_cfg.attribution)
-                    sharing.deliver(mask, rows, replay)
-                    received = np.add.reduce(mask, axis=(0, 1)).tolist()
-                    sent = np.add.reduce(mask, axis=(1, 2))
-                    scalars = sent * experience_scalars(U) \
-                        + behaviour.common_reward
-
-                # --- train -----------------------------------------------
-                losses = no_losses
-                ready = ready or \
-                    replay.counts.min() >= tr_cfg.batch_size  # <= capacity
-                if ready:
-                    ids = replay.sample(tr_cfg.batch_size, sample_rngs)
-                    step_losses = train_step(
-                        learner, target, *table.batch(ids), tr_cfg.discount,
-                        tr_cfg.learning_rate, workspace)
-                    train_steps += 1
-                    if train_steps % tr_cfg.target_refresh_steps == 0:
-                        target.load_from(learner)
-                    losses = step_losses[owner].tolist()
-                charge = scalars
-                if behaviour.central and \
-                        (step_idx + 1) % sh_cfg.ctde_sync_period == 0:
-                    charge = scalars \
-                        + sharing.ctde_sync(learner, agents) // L
-
-                ledger.record_step(step_idx, sent, charge)
-                _log_step(log, episode, t, train_rewards, losses, epsilon,
-                          sent.tolist(), received)
-                states = next_states
-
-            log.add_episode(episode, result.sinr)  # the last step's SINRs
-            epsilon = max(epsilon * tr_cfg.epsilon_decay, tr_cfg.epsilon_min)
+        _rollout(env, agents, action_rngs, epsilons[:-1], T, log, learn)
     except TrainingFault as fault:
         fault.artifacts = artifacts
         raise
     finally:
         artifacts.train_step_count = train_steps * len(learner)
-        artifacts.final_epsilon = epsilon
+        artifacts.final_epsilon = epsilons[len(log.sumrate_rows)]
     return artifacts
 
 
@@ -196,22 +199,14 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
              seed: int) -> MetricsLog:
     """Greedy rollouts of a per-cell stack: no learning, no sharing."""
     validate_config(cfg)
-    net_cfg = cfg.network
-    L = net_cfg.cells
+    L = cfg.network.cells
     if len(nets) != L:
         raise ContractViolation("need one network per cell")
-    env = Environment(net_cfg, np.random.SeedSequence(seed))
     log = MetricsLog()
-    dummy_rngs = [np.random.default_rng(0)] * L  # unused at epsilon=0
-    acting = Workspace(nets, 1)
     no_losses, nothing = [math.nan] * L, [0] * L
-
-    for episode in range(eval_episodes):
-        env.reset()
-        for t in range(cfg.training.steps_per_episode):
-            result = env.step(select_action(nets, env.states(), 0.0,
-                                            dummy_rngs, acting))
-            _log_step(log, episode, t, result.rewards, no_losses, 0.0,
-                      nothing, nothing)
-        log.add_episode(episode, result.sinr)
+    _rollout(Environment(cfg.network, np.random.SeedSequence(seed)), nets,
+             [np.random.default_rng(0)] * L,  # unused at epsilon=0
+             [0.0] * eval_episodes, cfg.training.steps_per_episode, log,
+             lambda _step, _states, _actions, result, _next:
+             (result.rewards, no_losses, nothing, nothing))
     return log

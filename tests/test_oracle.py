@@ -165,6 +165,21 @@ def test_oracle_entries_refuse_beams_outside_the_codebook(monkeypatch):
                 entry(channels, powers, beams, net_cfg, codebook)
 
 
+def test_brute_force_refuses_a_codebook_the_config_does_not_size(
+        monkeypatch):
+    # actions move beams within config.codebook_size: a smaller codebook
+    # would be indexed past its end, a larger one clamped to its start
+    net_cfg, _, _, channels, _ = random_snapshot(27)
+    powers = np.full((net_cfg.cells, net_cfg.users_per_cell), 10.0)
+    monkeypatch.setattr(oracle, "_sum_rates",
+                        lambda *args: pytest.fail("scored before refusing"))
+    for bits in (net_cfg.codebook_bits - 1, net_cfg.codebook_bits + 1):
+        codebook = beam_codebook(net_cfg.antennas, bits)
+        beams = np.full(powers.shape, codebook.size - 1)
+        with pytest.raises(ContractViolation, match="codebook of"):
+            brute_force_step(channels, powers, beams, net_cfg, codebook)
+
+
 def test_global_search_single_cell_maximizes_power_and_beam_gain():
     net_cfg = _small_net_cfg(antennas=4, bits=2)
     net_cfg.cells = 1

@@ -11,8 +11,9 @@ from conftest import desk_config, same_weights, small_run_config
 from cellshare import sharing, training
 from cellshare.environment import Environment
 from cellshare.errors import ContractViolation, TrainingFault
-from cellshare.metrics import network_sum_rate, read_csv, write_run_outputs
-from cellshare.qnet import QNetwork
+from cellshare.metrics import (MetricsLog, network_sum_rate, read_csv,
+                               write_run_outputs)
+from cellshare.qnet import QNetwork, q_forward
 from cellshare.replay import (ReplayBuffer, TransitionTable,
                               experience_scalars)
 from cellshare.training import RunArtifacts, evaluate, run_training
@@ -298,14 +299,42 @@ def test_episode_sum_rate_is_its_last_step_sinrs(monkeypatch):
         assert rate == network_sum_rate(step_sinrs[episode * T + T - 1])
 
 
-def test_epsilon_decays_per_episode():
-    cfg = small_run_config(episodes=3)
+def test_epsilon_decays_per_episode(monkeypatch):
+    cfg = small_run_config(episodes=4, epsilon_decay=0.6, epsilon_min=0.3)
+    want = [cfg.training.epsilon_start]  # each episode's, then the final
+    for _ in range(cfg.training.episodes):
+        want.append(max(want[-1] * 0.6, 0.3))
+    assert want[3] == 0.3  # the floor is reached inside the run
     artifacts = run_training(cfg, "share-nothing", seed=11)
-    assert artifacts.final_epsilon == pytest.approx(0.99 ** 3)
+    assert artifacts.final_epsilon == want[4]
     eps_by_episode = {}
     for row in artifacts.log.step_rows:
         eps_by_episode.setdefault(row.episode, set()).add(row.epsilon)
-    assert eps_by_episode == {0: {1.0}, 1: {0.99}, 2: {0.99 ** 2}}
+    assert eps_by_episode == {e: {want[e]} for e in range(4)}
+
+    # a faulting run reports the epsilon its faulting episode acted at
+    T = cfg.training.steps_per_episode
+    real_train_step, real_env_step = training.train_step, Environment.step
+    for fault_step, episode in ((2 * T - 1, 1), (2 * T, 2)):
+        taken = []
+
+        def count(env, actions):
+            taken.append(actions)
+            return real_env_step(env, actions)
+
+        def fault(*args):
+            if len(taken) - 1 == fault_step:
+                raise TrainingFault("injected at step %d" % fault_step)
+            return real_train_step(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Environment, "step", count)
+            patch.setattr(training, "train_step", fault)
+            with pytest.raises(TrainingFault) as exc_info:
+                run_training(cfg, "share-nothing", seed=11)
+        partial = exc_info.value.artifacts
+        assert len(partial.log.sumrate_rows) == episode
+        assert partial.final_epsilon == want[episode]
 
 
 def test_unknown_framework_is_rejected():
@@ -383,3 +412,56 @@ def test_evaluate_is_greedy_and_deterministic():
     assert len(first.sumrate_rows) == 3
     with pytest.raises(ContractViolation):
         evaluate(nets[:1], cfg, eval_episodes=1, seed=13)
+
+
+def test_evaluate_matches_an_independent_greedy_rollout():
+    cfg = small_run_config()
+    L, U = cfg.network.cells, cfg.network.users_per_cell
+    T = cfg.training.steps_per_episode
+    rng = np.random.default_rng(31)  # random weights: greedy actions vary
+    nets = QNetwork.stack([QNetwork(4 * U, 4 ** U, rng=rng)
+                           for _ in range(L)])
+    log = evaluate(nets, cfg, eval_episodes=3, seed=17)
+
+    env = Environment(cfg.network, np.random.SeedSequence(17))
+    want, rewards, actions = MetricsLog(), [], set()
+    for episode in range(3):
+        env.reset()
+        for _ in range(T):
+            step_actions = [int(np.argmax(q_forward(nets[ell], state)))
+                            for ell, state in enumerate(env.states())]
+            actions.update(step_actions)
+            result = env.step(step_actions)
+            rewards.extend(result.rewards)
+        want.add_episode(episode, result.sinr)
+    assert len(actions) > 1
+    assert [row.reward for row in log.step_rows] == rewards
+    assert log.sinr_rows == want.sinr_rows
+    assert log.sumrate_rows == want.sumrate_rows
+
+
+def test_patched_loop_functions_see_every_step(monkeypatch):
+    """Wrappers patched onto the names the loop looks up at call time,
+    as a tracer patches them, see every step of training and
+    evaluation."""
+    calls = {"act": 0, "step": 0}
+    real_select, real_step = training.select_action, Environment.step
+
+    def act(*args):
+        calls["act"] += 1
+        return real_select(*args)
+
+    def step(env, actions):
+        calls["step"] += 1
+        return real_step(env, actions)
+
+    monkeypatch.setattr("cellshare.training.select_action", act)
+    monkeypatch.setattr(Environment, "step", step)
+    cfg = small_run_config()
+    T = cfg.training.steps_per_episode
+    artifacts = run_training(cfg, "smart", seed=15)
+    steps = cfg.training.episodes * T
+    assert calls == {"act": steps, "step": steps}
+    calls.update(act=0, step=0)
+    evaluate(artifacts.agent_nets, cfg, eval_episodes=3, seed=16)
+    assert calls == {"act": 3 * T, "step": 3 * T}
