@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ EVAL_SEED_OFFSET = 9973
 
 SUMMARY_HEADER = ("framework", "seed", "final_sum_rate", "mean_eval_sinr_db",
                   "overhead_scalars", "zero_share_fraction", "status")
-ORACLE_FIXED_COLUMNS = ("sum_rate",)
 
 
 def _resolve_seed(cli_seed: int) -> Tuple[int, bool]:
@@ -63,13 +62,13 @@ def _load(config_path: Optional[str]) -> RunConfig:
     return load_config(config_path)
 
 
-def _write_artifacts(out_dir: str, artifacts: RunArtifacts, seed: int,
+def _write_artifacts(out_dir: str, artifacts: RunArtifacts,
                      overridden: bool, status: str) -> None:
     ledger = artifacts.ledger
     info = {
         "version": __version__,
         "framework": artifacts.framework,
-        "seed": seed,
+        "seed": artifacts.seed,
         "seed_env_override": overridden,
         "status": status,
         "config": resolved_dict(artifacts.config),
@@ -93,10 +92,10 @@ def _train_and_write(cfg: RunConfig, framework: str, seed: int,
     except TrainingFault as fault:
         # keep whatever the run produced before it died
         if fault.artifacts is not None:
-            _write_artifacts(out_dir, fault.artifacts, seed, overridden,
+            _write_artifacts(out_dir, fault.artifacts, overridden,
                              "aborted: %s" % fault)
         raise
-    _write_artifacts(out_dir, artifacts, seed, overridden, "ok")
+    _write_artifacts(out_dir, artifacts, overridden, "ok")
     return artifacts
 
 
@@ -111,15 +110,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _summary_row(framework: str, seed: int,
-                 artifacts: RunArtifacts) -> Tuple:
+def _summary_row(artifacts: RunArtifacts) -> Tuple:
     eval_log = evaluate(artifacts.agent_nets, artifacts.config,
                         artifacts.config.training.eval_episodes,
-                        seed + EVAL_SEED_OFFSET)
-    sinr_values = [row[3] for row in eval_log.sinr_rows]
-    return (framework, seed,
+                        artifacts.seed + EVAL_SEED_OFFSET)
+    return (artifacts.framework, artifacts.seed,
             metrics.final_quarter_sum_rate(artifacts.log.sumrate_rows),
-            float(np.mean(sinr_values)) if sinr_values else math.nan,
+            float(np.mean([row[3] for row in eval_log.sinr_rows])),
             artifacts.ledger.scalars_total,
             artifacts.ledger.zero_share_fraction(), "ok")
 
@@ -142,8 +139,6 @@ def cmd_compare(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     rows: List[Tuple] = []
-    per_framework: Dict[str, List[Tuple]] = {name: [] for name in frameworks}
-    failures = 0
     for name in frameworks:
         for k in range(args.seeds):
             seed = base_seed + k
@@ -151,19 +146,17 @@ def cmd_compare(args) -> int:
             try:
                 artifacts = _train_and_write(cfg, name, seed, overridden,
                                              run_dir)
-                row = _summary_row(name, seed, artifacts)
+                row = _summary_row(artifacts)
             except CellshareError as err:
-                failures += 1
                 print("%s seed %d failed: %s" % (name, seed, err),
                       file=sys.stderr)
                 row = (name, seed, math.nan, math.nan, 0, math.nan, "failed")
             rows.append(row)
-            if row[-1] == "ok":
-                per_framework[name].append(row)
+    ok = [row for row in rows if row[-1] == "ok"]
 
     # aggregate rows over the successful seeds (population std)
     for name in frameworks:
-        good = per_framework[name]
+        good = [row for row in ok if row[0] == name]
         for label, reducer in (("mean", np.mean), ("std", np.std)):
             if good:
                 agg = tuple(float(reducer([r[col] for r in good]))
@@ -174,7 +167,7 @@ def cmd_compare(args) -> int:
 
     metrics.write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_HEADER,
                       rows)
-    return EXIT_RUNTIME if failures else EXIT_OK
+    return EXIT_OK if len(ok) == len(frameworks) * args.seeds else EXIT_RUNTIME
 
 
 def _parse_sinr_column(path: str) -> List[float]:
@@ -214,15 +207,15 @@ def cmd_ccdf(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load(args.config)
-    seed, overridden = _resolve_seed(args.seed)
-    del overridden  # the snapshot seed is recorded in the CSV itself
+    # the snapshot seed is recorded in the CSV itself, not its override
+    seed, _ = _resolve_seed(args.seed)
     net_cfg = cfg.network
     env = Environment(net_cfg, np.random.SeedSequence(seed))
     env.reset()
     grid = oracle.default_power_grid(net_cfg, cfg.oracle.power_step_db)
     powers, beams, rate = oracle.global_csi_search(env.channels, grid,
                                                    env.codebook, net_cfg)
-    header: List[str] = ["seed"] + list(ORACLE_FIXED_COLUMNS)
+    header: List[str] = ["seed", "sum_rate"]
     row: List = [seed, rate]
     for ell in range(net_cfg.cells):
         for u in range(net_cfg.users_per_cell):

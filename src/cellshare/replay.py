@@ -44,6 +44,9 @@ class TransitionTable:
               actions: Sequence[int], rewards: Sequence[float],
               next_states: Sequence[np.ndarray]) -> np.ndarray:
         """Overwrite the rows of ``step``; returns their ids by cell."""
+        if not len(states) == len(actions) == len(rewards) \
+                == len(next_states) == self.cells:
+            raise ContractViolation("need one transition entry per cell")
         first = (step % self.steps) * self.cells
         rows = slice(first, first + self.cells)
         self.states[rows] = states
@@ -100,7 +103,12 @@ class ReplayBuffer:
         """Give learner k ``copies[k, j]`` ids ``rows[j]``, in j order."""
         key = (copies.dtype.str, copies.shape, copies.tobytes())
         if self._plans[received][0] != key:
+            if copies.ndim != 2 or copies.shape[0] != len(self.counts):
+                raise ContractViolation("need one row of copies per learner,"
+                                        " got shape %r" % (copies.shape,))
             self._plans[received] = key, self._plan(copies)
+        if len(rows) != copies.shape[1]:
+            raise ContractViolation("need one row id per column of copies")
         taken, total, learner, j, offset = self._plans[received][1]
         self.slots[learner, (self.counts[learner] + offset)
                    % self.capacity] = rows[j]
@@ -116,6 +124,8 @@ class ReplayBuffer:
         its filled slots without replacement, drawn from ``rngs[k]``."""
         if batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
+        if len(rngs) != len(self.counts):
+            raise ContractViolation("need one stream per learner")
         filled = np.minimum(self.counts, self.capacity).tolist()
         if min(filled) < batch_size:
             raise ContractViolation("a learner holds < batch_size ids")

@@ -54,6 +54,8 @@ class OverheadLedger:
                     scalars: np.ndarray) -> None:
         """Record one step's (L,) per-agent experience and scalar counts."""
         experiences, scalars = experiences.tolist(), scalars.tolist()
+        if len(experiences) != len(scalars):
+            raise ContractViolation("need one scalar count per agent")
         if min(experiences) < 0 or min(scalars) < 0:
             raise ContractViolation("ledger counts must be non-negative")
         self.rows.extend(zip(repeat(step), range(len(experiences)),

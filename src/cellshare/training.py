@@ -202,6 +202,8 @@ def evaluate(nets: QNetwork, cfg: RunConfig, eval_episodes: int,
     L = cfg.network.cells
     if len(nets) != L:
         raise ContractViolation("need one network per cell")
+    if eval_episodes < 1:
+        raise ContractViolation("eval_episodes must be >= 1")
     log = MetricsLog()
     no_losses, nothing = [math.nan] * L, [0] * L
     _rollout(Environment(cfg.network, np.random.SeedSequence(seed)), nets,

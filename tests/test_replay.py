@@ -221,8 +221,32 @@ def test_constructor_and_sample_guards():
     rngs = [np.random.default_rng(3)] * 2
     with pytest.raises(ContractViolation):
         ring.sample(0, rngs)
+    with pytest.raises(ContractViolation):  # one stream for two learners
+        ring.sample(2, rngs[:1])
+    slots, counts = ring.slots.copy(), ring.counts.copy()
+    # a row id short or over, on the call that makes the copies' plan and
+    # on calls that reuse it
+    copies = np.ones((2, 2), dtype=int)
+    for rows in (np.array([4]), np.array([4, 5, 6])) * 2:
+        with pytest.raises(ContractViolation):
+            ring.insert(copies, rows)
+    for copies in (np.array([[2, 1]]), np.ones((3, 2), dtype=int),
+                   np.ones(2, dtype=int)):
+        with pytest.raises(ContractViolation):  # not one row per learner
+            ring.insert(copies, np.array([7, 8]))
+    assert np.array_equal(ring.slots, slots)
+    assert np.array_equal(ring.counts, counts)
     with pytest.raises(ContractViolation):
         TransitionTable(0, 2, 4)
+    table = TransitionTable(4, 3, 2)
+    entries = [np.ones((3, 2)), [1, 1, 1], [0.5] * 3, np.ones((3, 2))]
+    for k in range(4):  # one argument with one entry, not one per cell
+        short = list(entries)
+        short[k] = short[k][:1]
+        with pytest.raises(ContractViolation):
+            table.store(0, *short)
+    assert not table.states.any() and not table.actions.any()
+    assert not table.rewards.any() and not table.next_states.any()
 
 
 def test_table_rows_round_trip_and_wrap():

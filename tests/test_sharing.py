@@ -185,6 +185,10 @@ def test_ledger_totals_and_zero_share_fraction():
         ledger.record_step(2, np.array([-1]), np.array([0]))
     with pytest.raises(ContractViolation):
         ledger.record_step(2, np.array([0]), np.array([-1]))
+    for experiences, scalars in (([1, 2, 3], [5]), ([1], [5, 6])):
+        with pytest.raises(ContractViolation):  # not one count per agent
+            ledger.record_step(2, np.array(experiences), np.array(scalars))
+    assert len(ledger.rows) == 4
     # a run that never stepped has no fraction to report
     assert math.isnan(OverheadLedger().zero_share_fraction())
 

@@ -414,6 +414,16 @@ def test_evaluate_is_greedy_and_deterministic():
         evaluate(nets[:1], cfg, eval_episodes=1, seed=13)
 
 
+def test_evaluate_refuses_fewer_than_one_episode():
+    cfg = small_run_config()
+    nets = QNetwork.stack([QNetwork(4 * cfg.network.users_per_cell,
+                                    4 ** cfg.network.users_per_cell)
+                           for _ in range(cfg.network.cells)])
+    for episodes in (0, -1):
+        with pytest.raises(ContractViolation, match="eval_episodes"):
+            evaluate(nets, cfg, eval_episodes=episodes, seed=13)
+
+
 def test_evaluate_matches_an_independent_greedy_rollout():
     cfg = small_run_config()
     L, U = cfg.network.cells, cfg.network.users_per_cell

@@ -49,7 +49,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from cellshare import cli, control, oracle, sharing  # noqa: E402
 from cellshare.channel import (beam_codebook, matched_beams,  # noqa: E402
                                sample_channels)
-from cellshare.config import default_config  # noqa: E402
+from cellshare.config import default_config, dump_config  # noqa: E402
 from cellshare.errors import CellshareError, TrainingFault  # noqa: E402
 from cellshare.geometry import build_layout, spawn_users  # noqa: E402
 from cellshare.training import evaluate, run_training  # noqa: E402
@@ -58,27 +58,6 @@ CELLS = (2, 3, 7, 19)
 ATTRIBUTIONS = ("measured", "genie")
 CAPACITIES = (50, 10000)
 DIVERGING_RATE = 1e15
-# run_config's scenario as a config file; at learning rate 1 and seed 5
-# the compare case's smart run diverges and its share-all run completes
-CLI_TRAIN_CONFIG = """\
-[network]
-antennas = 4
-codebook_bits = 6
-noise_power_dbm = -120
-step_duration_s = 1e-4
-max_bs_power_dbm = 14
-
-[training]
-episodes = 3
-steps_per_episode = 12
-batch_size = 16
-target_refresh_steps = 5
-eval_episodes = 1
-learning_rate = %r
-
-[sharing]
-ctde_sync_period = 2
-"""
 # 2 cells x 2 users, 5 power levels x 2 beams: 10**4 configurations
 CLI_ORACLE_CONFIG = """\
 [network]
@@ -295,11 +274,15 @@ def cli_cases():
         def path(name):
             return os.path.join(tmp, name)
 
+        # run_config's 2-cell scenario as a config file; at learning rate
+        # 1 and seed 5 the compare case's smart run diverges and its
+        # share-all run completes (tests/test_tools.py checks this)
+        texts = {name: dump_config(run_config(2, "measured", 10000, rate))
+                 for name, rate in (("ok", 0.01), ("compare", 1.0),
+                                    ("diverging", DIVERGING_RATE))}
+        texts["oracle"] = CLI_ORACLE_CONFIG
         configs = {}
-        for name, text in (("ok", CLI_TRAIN_CONFIG % 0.01),
-                           ("diverging", CLI_TRAIN_CONFIG % DIVERGING_RATE),
-                           ("compare", CLI_TRAIN_CONFIG % 1.0),
-                           ("oracle", CLI_ORACLE_CONFIG)):
+        for name, text in texts.items():
             configs[name] = path(name + ".cfg")
             with open(configs[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
