@@ -5,14 +5,17 @@ Both optimize the instantaneous network sum-rate on a frozen channel
 snapshot (myopic; no lookahead) and break ties lexicographically, so
 identical inputs always produce identical outputs.
 
-Both tabulate each cell's candidates once, then score every pick of one
-candidate per cell in itertools.product order, SEARCH_CHUNK picks per
-batched received_powers call. Within a chunk argmax keeps the first
-maximum, and a later chunk replaces the best only with a strictly
-larger rate, so the result is the first strict maximum over the whole
-space whatever the chunk size. evaluate_configuration scores one
-configuration as a batch of one, so its rate equals the searches' for
-the same configuration bit for bit.
+Both list each cell's candidates, then score every pick of one
+candidate per cell in itertools.product order. One received_powers call
+tabulates the candidates, batch row i being every cell's candidate i: a
+cell's serving and intra power depend only on its own candidate, and
+source j's interference only on j's. Each chunk of SEARCH_CHUNK picks
+gathers its terms into C-ordered (B, L, U[, L]) arrays and reduces them
+as for one configuration alone, so each rate equals that
+configuration's own bit for bit, evaluate_configuration's included.
+Within a chunk argmax keeps the first maximum, and a later chunk
+replaces the best only with a strictly larger rate, so the result is
+the first strict maximum over the whole space whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from .channel import ChannelSet, Codebook
 from .config import NetworkConfig, db_to_linear
 from .errors import ContractViolation, SearchSpaceError
 from .metrics import network_sum_rate
-from .physics import received_powers, sinr
+from .physics import PowerTable, received_powers, sinr
 
 BRUTE_FORCE_LIMIT = 2 ** 20
 GLOBAL_SEARCH_LIMIT = 2 ** 22
-# configurations scored per received_powers call; bounds a search's
-# working set (about 10 MB at 4096) whatever the size of its space
+# picks gathered and scored at once, and candidates tabulated at once,
+# so a search's working set stays bounded whatever the size of its space
 SEARCH_CHUNK = 4096
 
 
@@ -54,16 +57,26 @@ def evaluate_configuration(channels: ChannelSet, powers_dbm: np.ndarray,
     """Network sum-rate of one explicit power/beam configuration."""
     _refuse_outside_codebook(np.asarray(beams), codebook)
     powers_mw = db_to_linear(np.asarray(powers_dbm, dtype=float))
-    return float(_sum_rates(channels, powers_mw[None],
-                            np.asarray(beams)[None], config, codebook)[0])
+    return _best_combination(channels, powers_mw[:, None],
+                             np.asarray(beams)[:, None], config, codebook)[1]
 
 
-def _sum_rates(channels: ChannelSet, powers_mw: np.ndarray,
-               beams: np.ndarray, config: NetworkConfig,
-               codebook: Codebook) -> np.ndarray:
-    """Network sum-rate of each of B configurations: (B, L, U) -> (B,)."""
-    table = received_powers(channels, powers_mw, beams, codebook)
-    return network_sum_rate(sinr(table, config.noise_mw))
+def _pick_rates(table: PowerTable, picks: np.ndarray,
+                noise_mw: float) -> np.ndarray:
+    """Network sum-rate of each pick (B, L) of one candidate per cell,
+    gathered from the candidate tables: (B,)."""
+    _, L, U = table.serving.shape
+    # flat takes of serving[picks[b, l], l, u] and of
+    # inter_by_source[picks[b, j], l, u, j]: source j plays its pick
+    own = picks[:, :, None] * (L * U) + np.arange(L * U).reshape(L, U)
+    inter = table.inter_by_source.ravel().take(
+        picks[:, None, None, :] * (L * U * L)
+        + np.arange(L * U * L).reshape(L, U, L))
+    gathered = PowerTable(serving=table.serving.ravel().take(own),
+                          intra=table.intra.ravel().take(own),
+                          inter_by_source=inter,
+                          inter_total=inter.sum(axis=-1))
+    return network_sum_rate(sinr(gathered, noise_mw))
 
 
 def _best_combination(channels: ChannelSet, cell_powers_mw: np.ndarray,
@@ -73,23 +86,28 @@ def _best_combination(channels: ChannelSet, cell_powers_mw: np.ndarray,
 
     cell_powers_mw / cell_beams[l, i] is candidate i of cell l, (L, n, U).
     The n**L picks are scored in itertools.product order, SEARCH_CHUNK
-    per received_powers call. Returns the picked candidate of each cell
-    and the sum-rate.
+    at a time. Returns the picked candidate of each cell and the sum-rate.
     """
-    L, n, _ = cell_beams.shape
-    total = n ** L
-    cells = np.arange(L)
+    L, n = cell_beams.shape[:2]
+    # the limits keep n <= 2048 when L >= 2; a single cell's up to
+    # GLOBAL_SEARCH_LIMIT candidates are tabulated SEARCH_CHUNK at a time
+    span = SEARCH_CHUNK if L == 1 else n
     best: Optional[np.ndarray] = None
     best_rate = -np.inf
-    for start in range(0, total, SEARCH_CHUNK):
-        flat = np.arange(start, min(start + SEARCH_CHUNK, total))
-        picks = np.stack(np.unravel_index(flat, (n,) * L), axis=-1)  # (B, L)
-        rates = _sum_rates(channels, cell_powers_mw[cells, picks],
-                           cell_beams[cells, picks], config, codebook)
-        k = int(np.argmax(rates))
-        if rates[k] > best_rate:
-            best_rate = rates[k]
-            best = picks[k]
+    for low in range(0, n, span):
+        table = received_powers(
+            channels, cell_powers_mw[:, low:low + span].swapaxes(0, 1),
+            cell_beams[:, low:low + span].swapaxes(0, 1), codebook)
+        m = len(table.serving)
+        total = m ** L
+        for start in range(0, total, SEARCH_CHUNK):
+            flat = np.arange(start, min(start + SEARCH_CHUNK, total))
+            picks = np.stack(np.unravel_index(flat, (m,) * L), axis=-1)
+            rates = _pick_rates(table, picks, config.noise_mw)
+            k = int(np.argmax(rates))
+            if rates[k] > best_rate:
+                best_rate = rates[k]
+                best = picks[k] + low
     assert best is not None
     return tuple(int(i) for i in best), float(best_rate)
 

@@ -12,9 +12,10 @@ product over the serving-CSI diagonal, with cells as the leading axis.
 ``received_powers`` and ``sinr`` take optional leading batch axes: with
 powers and beams of shape (..., L, U), every field of the PowerTable and
 the SINR carry the same leading axes, and each batch row equals the
-unbatched call on that row bit for bit. The oracle searches score many
-configurations per call this way. The step and the oracle entries
-check the beams; every power is ``db_to_linear``'s, so >= 0.
+unbatched call on that row bit for bit. The oracle searches tabulate
+their candidates this way, batch row i being every cell's candidate i,
+then gather each pick's terms from the table. The step and the oracle
+entries check the beams; every power is ``db_to_linear``'s, so >= 0.
 """
 
 from __future__ import annotations

@@ -1,14 +1,20 @@
 """Brute-force one-step search and the global power/beam grid search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_snapshot
 
 from cellshare import control, oracle
 from cellshare.channel import ChannelSet, beam_codebook
-from cellshare.config import default_config
+from cellshare.config import db_to_linear, default_config
 from cellshare.errors import ContractViolation, SearchSpaceError
+from cellshare.metrics import network_sum_rate
+from cellshare.physics import received_powers, sinr
 from cellshare.oracle import (
     brute_force_step,
     default_power_grid,
@@ -132,6 +138,76 @@ def test_chunked_searches_match_one_chunk(monkeypatch):
                             codebook) == ((0, 0), 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 9), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_every_scored_rate_is_the_configurations_own_bit_for_bit(
+        cells, users, antennas, bits, candidates, silent, seed):
+    # the scorer gathers each pick's terms from per-candidate tables; the
+    # reference scores each configuration alone with received_powers.
+    # Seven picks per chunk split the picks (L >= 2) or the tables (L = 1)
+    cfg = _small_net_cfg(users=users, antennas=antennas, bits=bits)
+    cfg.cells = cells
+    codebook = beam_codebook(antennas, bits)
+    rng = np.random.default_rng(seed)
+    shape = (cells, cells, users, antennas)
+    vectors = 1e-5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    if silent:  # zero channels: every rate is 0, ties everywhere
+        vectors[...] = 0.0
+    channels = ChannelSet(vectors=vectors, gains=None, steering=None)
+    cell_powers_mw = db_to_linear(rng.uniform(
+        0.0, 17.0, size=(cells, candidates, users)))
+    cell_beams = rng.integers(codebook.size,
+                              size=(cells, candidates, users))
+
+    scored = []
+    pick_rates = oracle._pick_rates
+
+    def recording(*args):
+        rates = pick_rates(*args)
+        scored.append(rates)
+        return rates
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "SEARCH_CHUNK", 7)
+        patch.setattr(oracle, "_pick_rates", recording)
+        combo, rate = oracle._best_combination(
+            channels, cell_powers_mw, cell_beams, cfg, codebook)
+
+    ell = np.arange(cells)
+    reference = np.array([
+        network_sum_rate(sinr(received_powers(
+            channels, cell_powers_mw[ell, pick], cell_beams[ell, pick],
+            codebook), cfg.noise_mw))
+        for pick in np.ndindex(*(candidates,) * cells)])
+    assert len(scored) == -(-len(reference) // 7)  # chunks of 7, in order
+    assert np.array_equal(np.concatenate(scored), reference)
+    first = int(np.argmax(reference))
+    assert combo == np.unravel_index(first, (candidates,) * cells)
+    assert rate == reference[first]
+
+
+def test_full_chunk_rate_is_the_configurations_own_bit_for_bit():
+    # 2 cells x 4 users: summed from a full chunk of 4096 batched SINR
+    # rows laid out (L, B, U) in memory, this snapshot's best rate missed
+    # its own configuration's by an ulp; the gathered rows are (B, L, U)
+    net_cfg, _, _, channels, codebook = random_snapshot(3, users=4)
+    powers = np.tile(control.initial_powers_dbm(net_cfg), (2, 1))
+    beams = np.full((2, 4), codebook.size // 2)
+    combo, rate = brute_force_step(channels, powers, beams, net_cfg,
+                                   codebook)
+    moved = [control.apply_joint_action(action, powers[ell], beams[ell],
+                                        net_cfg)
+             for ell, action in enumerate(combo)]
+    best_powers, best_beams = (np.array(column) for column in zip(*moved))
+    assert rate == evaluate_configuration(channels, best_powers, best_beams,
+                                          net_cfg, codebook)
+    assert rate == network_sum_rate(sinr(received_powers(
+        channels, db_to_linear(best_powers), best_beams, codebook),
+        net_cfg.noise_mw))
+
+
 def test_search_space_guards():
     cfg = default_config().network  # U=3 -> 64 joint actions per agent
     cfg.cells = 4
@@ -155,7 +231,7 @@ def test_oracle_entries_refuse_beams_outside_the_codebook(monkeypatch):
     # received_powers wrap a negative one, so nothing may be scored
     net_cfg, _, _, channels, codebook = random_snapshot(26)
     powers = np.full((net_cfg.cells, net_cfg.users_per_cell), 10.0)
-    monkeypatch.setattr(oracle, "_sum_rates",
+    monkeypatch.setattr(oracle, "received_powers",
                         lambda *args: pytest.fail("scored before refusing"))
     for entry in (brute_force_step, evaluate_configuration):
         for bad_beam in (-1, -codebook.size, codebook.size):
@@ -171,7 +247,7 @@ def test_brute_force_refuses_a_codebook_the_config_does_not_size(
     # would be indexed past its end, a larger one clamped to its start
     net_cfg, _, _, channels, _ = random_snapshot(27)
     powers = np.full((net_cfg.cells, net_cfg.users_per_cell), 10.0)
-    monkeypatch.setattr(oracle, "_sum_rates",
+    monkeypatch.setattr(oracle, "received_powers",
                         lambda *args: pytest.fail("scored before refusing"))
     for bits in (net_cfg.codebook_bits - 1, net_cfg.codebook_bits + 1):
         codebook = beam_codebook(net_cfg.antennas, bits)
@@ -194,6 +270,25 @@ def test_global_search_single_cell_maximizes_power_and_beam_gain():
     assert beams[0, 0] == int(np.argmax(gains))
     assert rate == pytest.approx(
         evaluate_configuration(channels, powers, beams, net_cfg, codebook))
+
+
+def test_single_cell_search_tabulates_in_bounded_memory():
+    # 6 310 level pairs within the budget x 64 beam pairs: 403 840
+    # candidates of one cell, which the search must not tabulate at once
+    net_cfg, _, _, channels, codebook = random_snapshot(41, cells=1,
+                                                        users=2)
+    grid = default_power_grid(net_cfg, step_db=0.5)
+    assert (grid.size, codebook.size) == (81, 8)
+    tracemalloc.start()
+    try:
+        powers, beams, rate = global_csi_search(channels, grid, codebook,
+                                                net_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
+    assert powers.tolist() == [[0.0, 39.5]] and beams.tolist() == [[0, 7]]
+    assert rate == float.fromhex("0x1.6e2fa85522d82p+3")
 
 
 def test_global_search_dominates_one_step_moves():

@@ -39,6 +39,13 @@ def test_microbenchmark_runs_and_ends_in_one_json_line(stage_report, script):
                                                                      19]
 
 
+def test_microbenchmark_times_the_oracle_searches(stage_report):
+    times = stage_report["oracle_us"]
+    assert set(times) == {"brute_force_step/2x2", "brute_force_step/desk-2x3",
+                          "global_csi_search/cli-oracle"}
+    assert all(us > 0 for us in times.values())
+
+
 def test_artifact_digests_print_every_case_and_their_total():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "artifact_digests.py")],

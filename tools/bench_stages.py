@@ -3,9 +3,10 @@
     python3 tools/bench_stages.py [--steps 100] [--repeats 15] [--jobs 0]
                                   [--seed 201]
 
-It times the environment's stages, the stacked SGD step and the greedy
-acting pass. Every time is the best of --repeats rounds of --steps
-calls, after one untimed round, in microseconds per call.
+It times the environment's stages, the stacked SGD step, the greedy
+acting pass and the oracle searches. Every time is the best of
+--repeats rounds of --steps calls, after one untimed round, in
+microseconds per call.
 
 Environment: for each cell count L in 2, 7 and 19 it builds the desk
 scenario (``configs/desk.conf``: 3 users, 4 antennas, 64 beams) at L
@@ -25,6 +26,13 @@ the bytes of the workspace (each distinct array once, so views of one
 array count as that array) and the greedy acting pass:
 ``select_action`` at epsilon 0 on one state per agent through a batch-1
 workspace.
+
+Oracle: on the snapshot of one reset environment (seed 4) it times
+``oracle.brute_force_step`` at 2 cells x 2 users (the oracle-sweep
+workload of the benchmark in ``perfbench/``: 256 joint actions) and at
+the desk scenario (2 x 3: 4 096), and ``oracle.global_csi_search`` on
+the ``cli/oracle`` case of ``tools/artifact_digests.py`` (10**4
+configurations), as ``cellshare oracle --seed 4`` runs it.
 
 With --jobs N it then runs N whole hex19-share jobs of the benchmark in
 ``perfbench/`` at seed --seed, after one warm-up job, and prints their
@@ -51,8 +59,11 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from cellshare import channel, control, geometry, physics, qnet  # noqa: E402
-from cellshare.config import db_to_linear, load_config  # noqa: E402
+from artifact_digests import CLI_ORACLE_CONFIG  # noqa: E402
+from cellshare import (channel, control, geometry, oracle,  # noqa: E402
+                       physics, qnet)
+from cellshare.config import (db_to_linear, default_config,  # noqa: E402
+                              load_config, parse_config)
 from cellshare.environment import Environment  # noqa: E402
 
 CELLS = (2, 7, 19)
@@ -183,6 +194,34 @@ def bench_stack(agents: int, steps: int, repeats: int) -> dict:
             "act_us": best_us(act, steps, repeats)}
 
 
+def bench_oracle(steps: int, repeats: int) -> dict:
+    sweep = default_config().network  # perfbench's ORACLE_CONFIG
+    sweep.cells, sweep.users_per_cell = 2, 2
+    desk = load_config(os.path.join(ROOT, "configs", "desk.conf")).network
+    cli_cfg = parse_config(CLI_ORACLE_CONFIG)
+    grid = oracle.default_power_grid(cli_cfg.network,
+                                     cli_cfg.oracle.power_step_db)
+
+    def snapshot(net):
+        env = Environment(net, np.random.SeedSequence(4))
+        env.reset()
+        return env
+
+    def brute_force(net):
+        env = snapshot(net)
+        return lambda _k: oracle.brute_force_step(
+            env.channels, env.powers_dbm, env.beams, net, env.codebook)
+
+    cli = snapshot(cli_cfg.network)
+    calls = {"brute_force_step/2x2": brute_force(sweep),
+             "brute_force_step/desk-2x3": brute_force(desk),
+             "global_csi_search/cli-oracle": lambda _k:
+                 oracle.global_csi_search(cli.channels, grid, cli.codebook,
+                                          cli_cfg.network)}
+    return {name: best_us(call, steps, repeats)
+            for name, call in calls.items()}
+
+
 def bench_jobs(jobs: int, seed: int) -> dict:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
@@ -229,6 +268,9 @@ def main(argv=None) -> int:
               "%10d workspace bytes %8.1f us/greedy act"
               % (agents, row["step_us"], row["faults_per_step"],
                  row["workspace_bytes"], row["act_us"]))
+    report["oracle_us"] = bench_oracle(args.steps, args.repeats)
+    for name, us in report["oracle_us"].items():
+        print("%-28s %10.1f us/call" % (name, us))
     if args.jobs:
         report["jobs"] = bench_jobs(args.jobs, args.seed)
         print("hex19-share seed %d: minor faults per job %s"
