@@ -10,7 +10,7 @@ loss (``path_loss_gain``, elementwise over distances) and first-order
 autoregressive fading whose correlation comes from the Jakes model at
 the configured speed. Departure angles are fixed for an episode, so each
 path's steering vector is built once, at the fresh draw, and every later
-step of the episode reuses it.
+step of the episode, or block of steps evolved at once, reuses it.
 
 The Jakes coefficient J0(2*pi*f_d*T) comes from ``_j0``, an in-package
 port of Cephes ``j0`` (rational form up to 5, Hankel modulus and phase
@@ -249,10 +249,11 @@ class ChannelSet:
     evolve the small-scale fading while geometry-driven quantities are
     recomputed. steering[l, j, u, p] is exp(i*pi*sin(a)*m)/sqrt(M) over
     antennas m for the path's departure angle a, fixed per episode.
+    A block of steps evolved at once puts time first in vectors and gains.
     """
 
-    vectors: np.ndarray   # (L, L, U, M) complex
-    gains: np.ndarray     # (L, L, U, P) complex per-path gains, unit variance
+    vectors: np.ndarray   # (..., L, L, U, M) complex
+    gains: np.ndarray     # (..., L, L, U, P) complex path gains, unit variance
     steering: np.ndarray  # (L, L, U, P, M) complex, fixed per episode
 
 
@@ -266,11 +267,17 @@ def sample_channels(layout: CellLayout, users: UserSet,
     vectors persist (the same array) and gains follow
     g' = rho*g + sqrt(1-rho^2)*w with w standard circular Gaussian,
     preserving the marginal law.
+
+    For users with a leading time axis (``step_mobility``'s with
+    ``steps``), it draws every step's w at once, in one-step order,
+    makes one path-loss pass, then updates and contracts step by step:
+    every row equals those one-step calls' results bit for bit.
     """
     L = layout.cells
     U = users.users_per_cell
     M = config.antennas
     P = config.paths
+    lead = users.positions.shape[:-3]  # () or the block's (T,)
 
     if prev is None:
         # departure angles over the broadside half-plane: sin(angle) then
@@ -288,18 +295,24 @@ def sample_channels(layout: CellLayout, users: UserSet,
         rho = doppler_correlation(config)
         steering = prev.steering
         if rho >= 1.0:
-            gains = prev.gains
+            gains = np.broadcast_to(prev.gains, lead + prev.gains.shape)
         else:
-            noise = (rng.standard_normal((L, L, U, P))
-                     + 1j * rng.standard_normal((L, L, U, P))) / math.sqrt(2.0)
-            gains = rho * prev.gains + math.sqrt(1.0 - rho * rho) * noise
+            noise = rng.standard_normal(lead + (2, L, L, U, P))
+            gains = math.sqrt(1.0 - rho * rho) * (
+                (noise[..., 0, :, :, :, :] + 1j * noise[..., 1, :, :, :, :])
+                / math.sqrt(2.0))
+            g = prev.gains
+            for t in np.ndindex(lead):
+                g = np.add(rho * g, gains[t], out=gains[t])
 
     # distance from source BS j to user (l, u), by np.linalg.norm's own
     # formula for real input
-    diff = users.positions[:, None, :, :] - layout.positions[None, :, None, :]
+    diff = users.positions[..., None, :, :] - layout.positions[:, None, :]
     pl = path_loss_gain(np.sqrt(np.add.reduce(diff * diff, axis=-1)), config)
 
-    scale = np.sqrt(M * pl / P)
-    vectors = scale[..., None] * np.einsum("ljup,ljupm->ljum", gains,
-                                           steering)
+    scale = np.sqrt(M * pl / P)[..., None]
+    vectors = np.empty(lead + (L, L, U, M), dtype=complex)
+    for t in np.ndindex(lead):
+        np.multiply(scale[t], np.einsum("ljup,ljupm->ljum", gains[t],
+                                        steering), out=vectors[t])
     return ChannelSet(vectors=vectors, gains=gains, steering=steering)

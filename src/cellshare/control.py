@@ -31,24 +31,25 @@ def action_space_size(users_per_cell: int) -> int:
 
 
 def apply_power_command(prev_dbm: np.ndarray, steps_db: np.ndarray,
-                        config: NetworkConfig) -> np.ndarray:
+                        config: NetworkConfig) -> Tuple[np.ndarray, ...]:
     """+-1 dB power update of each cell under its budget constraint.
 
     Tentatively applies every user's step (+1.0 or -1.0 dB); in a cell
     whose linear sum would exceed the budget, every user steps -1 dB
     instead. Results are floored at the per-user minimum. The returned
     linear sum can never exceed the budget provided the previous powers
-    respected it.
+    respected it. Returns the powers in dBm and mW, the budget test's.
     """
     floor = config.min_ue_power_dbm
     prev_dbm = np.asarray(prev_dbm, dtype=float)
     tentative = prev_dbm + steps_db
     np.maximum(tentative, floor, out=tentative)
-    over = db_to_linear(tentative).sum(axis=-1, keepdims=True) \
-        > config.max_bs_power_mw
+    tentative_mw = db_to_linear(tentative)
+    over = tentative_mw.sum(axis=-1, keepdims=True) > config.max_bs_power_mw
     if not np.count_nonzero(over):  # no cell backs off
-        return tentative
-    return np.where(over, np.maximum(prev_dbm - 1.0, floor), tentative)
+        return tentative, tentative_mw
+    powers = np.where(over, np.maximum(prev_dbm - 1.0, floor), tentative)
+    return powers, db_to_linear(powers)
 
 
 @lru_cache(maxsize=None)
@@ -66,9 +67,10 @@ def _command_table(users_per_cell: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
-                       prev_beams: np.ndarray,
-                       config: NetworkConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode and apply each agent's joint action to its cell.
+                       prev_beams: np.ndarray, config: NetworkConfig
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode and apply each agent's joint action to its cell: the new
+    powers in dBm, beams, and powers in mW (``apply_power_command``'s).
 
     Beams move one codebook step and saturate at both ends. The caller
     checks the previous beams (``Environment.step``, the oracle entries).
@@ -84,12 +86,12 @@ def apply_joint_action(index: int | np.ndarray, prev_powers_dbm: np.ndarray,
         raise ContractViolation("action index %d outside [0, %d)"
                                 % (index[bad][0], n))
     prev_beams = np.asarray(prev_beams, dtype=int)
-    new_powers = apply_power_command(
+    new_powers, new_powers_mw = apply_power_command(
         prev_powers_dbm, power_steps.take(index, axis=0), config)
     new_beams = prev_beams + beam_steps.take(index, axis=0)
     np.maximum(new_beams, 0, out=new_beams)
     np.minimum(new_beams, config.codebook_size - 1, out=new_beams)
-    return new_powers, new_beams
+    return new_powers, new_beams, new_powers_mw
 
 
 def encode_state(prev_powers_dbm: np.ndarray, prev_beams: np.ndarray,

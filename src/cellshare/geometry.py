@@ -65,15 +65,15 @@ def build_layout(cells: int, inter_site_distance: float) -> CellLayout:
 class UserSet:
     """Positions and walk headings of every user, indexed (cell, user)."""
 
-    positions: np.ndarray  # (L, U, 2) meters
-    headings: np.ndarray   # (L, U) radians
+    positions: np.ndarray  # (..., L, U, 2) meters
+    headings: np.ndarray   # (..., L, U) radians
 
     @property
     def users_per_cell(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-2]
 
     def offsets(self, layout: CellLayout) -> np.ndarray:
-        """Positions relative to each user's serving BS, shape (L, U, 2)."""
+        """Positions relative to each user's serving BS, (..., L, U, 2)."""
         return self.positions - layout.positions[:, None, :]
 
 
@@ -94,41 +94,57 @@ def spawn_users(layout: CellLayout, users_per_cell: int,
 
 
 def step_mobility(users: UserSet, layout: CellLayout, config: NetworkConfig,
-                  rng: np.random.Generator) -> UserSet:
-    """Advance every user by one control interval.
+                  rng: np.random.Generator,
+                  steps: int | None = None) -> UserSet:
+    """Advance every user by one control interval, or by ``steps``.
 
     Each user moves speed*step_duration along its heading; the heading
     itself diffuses slowly so walks stay persistent but not straight.
     Users that would leave the serving disk are folded back across the
     boundary and their heading is reflected off the circle.
+
+    With ``steps``, positions and headings carry a leading time axis,
+    row t after step t + 1: the draws of one-step calls in their order,
+    summed in step order, so every row equals those calls' bit for bit.
     """
     L, U = users.positions.shape[:2]
+    T = 1 if steps is None else steps
     step = config.ue_speed * config.step_duration
-    headings = users.headings + HEADING_SIGMA * rng.standard_normal((L, U))
-    if step == 0.0:
-        return UserSet(positions=users.positions.copy(), headings=headings)
-
-    delta = np.empty((L, U, 2))
-    np.multiply(step, np.cos(headings), out=delta[..., 0])
-    np.multiply(step, np.sin(headings), out=delta[..., 1])
-    proposed = users.positions + delta
-
-    offsets = proposed - layout.positions[:, None, :]
-    # np.linalg.norm's own formula for real input, without its wrapper
-    dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
-    out = dist > config.cell_radius
-    if np.count_nonzero(out):
-        idx = np.argwhere(out)
-        for ell, u in idx:
-            off = offsets[ell, u]
-            rho = dist[ell, u]
+    turns = HEADING_SIGMA * rng.standard_normal((T, L, U))
+    headings, positions = np.empty((T, L, U)), np.empty((T, L, U, 2))
+    heading, position, t = users.headings, users.positions, 0
+    while t < T:
+        # the walk of steps t, t + 1, ... as if every user stayed inside,
+        # cut at the first step where one would leave
+        turns[t] += heading
+        walk = np.add.accumulate(turns[t:], axis=0, out=headings[t:])
+        if step == 0.0:
+            positions[...] = position
+            break
+        delta = np.empty(walk.shape + (2,))
+        np.multiply(step, np.cos(walk), out=delta[..., 0])
+        np.multiply(step, np.sin(walk), out=delta[..., 1])
+        delta[0] += position
+        proposed = np.add.accumulate(delta, axis=0, out=positions[t:])
+        offsets = proposed - layout.positions[:, None, :]
+        # np.linalg.norm's own formula for real input, without its wrapper
+        dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
+        out = dist > config.cell_radius
+        if not np.count_nonzero(out):
+            break
+        k = int(out.any(axis=(1, 2)).argmax())
+        for ell, u in np.argwhere(out[k]):
+            off = offsets[k, ell, u]
+            rho = dist[k, ell, u]
             radial = off / rho
             # fold the overshoot back inside the circle
             folded = max(2.0 * config.cell_radius - rho, 0.0)
-            proposed[ell, u] = layout.positions[ell] + radial * folded
+            proposed[k, ell, u] = layout.positions[ell] + radial * folded
             # specular reflection of the walk direction
-            h = np.array([math.cos(headings[ell, u]),
-                          math.sin(headings[ell, u])])
+            h = np.array([math.cos(walk[k, ell, u]),
+                          math.sin(walk[k, ell, u])])
             h = h - 2.0 * float(h @ radial) * radial
-            headings[ell, u] = math.atan2(h[1], h[0])
-    return UserSet(positions=proposed, headings=headings)
+            walk[k, ell, u] = math.atan2(h[1], h[0])
+        heading, position, t = walk[k], proposed[k], t + k + 1
+    rows = 0 if steps is None else slice(None)  # one step: no time axis
+    return UserSet(positions=positions[rows], headings=headings[rows])

@@ -59,8 +59,9 @@ class MetricsLog:
 
 def network_sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
     """Sum of log2(1 + SINR) over the trailing (L, U) axes: a float for
-    one network, a (B,) array for a batch of B."""
-    rates = np.log2(1.0 + np.asarray(sinrs, dtype=float)).sum(axis=(-2, -1))
+    one network, a (B,) array for a batch of B. The sum runs in C order
+    whatever the layout of ``sinrs``, so each row equals its own call."""
+    rates = np.log2(1.0 + np.ascontiguousarray(sinrs, float)).sum((-2, -1))
     return float(rates) if rates.ndim == 0 else rates
 
 

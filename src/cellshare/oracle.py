@@ -140,10 +140,10 @@ def brute_force_step(channels: ChannelSet, powers_dbm: np.ndarray,
     _refuse_outside_codebook(beams, codebook)
 
     # (L, n_actions, U): every action applied to every cell at once
-    cell_powers, cell_beams = control.apply_joint_action(
+    _, cell_beams, cell_powers_mw = control.apply_joint_action(
         np.arange(n_actions), powers_dbm[:, None], beams[:, None], config)
-    return _best_combination(channels, db_to_linear(cell_powers),
-                             cell_beams, config, codebook)
+    return _best_combination(channels, cell_powers_mw, cell_beams, config,
+                             codebook)
 
 
 def default_power_grid(config: NetworkConfig, step_db: float) -> np.ndarray:

@@ -62,7 +62,7 @@ def _rollout(env: Environment, agents: QNetwork,
     counts, logged as one row per cell."""
     acting = Workspace(agents, 1)
     for episode, epsilon in enumerate(epsilons):
-        env.reset()
+        env.reset(steps)
         states = env.states()
         for t in range(steps):
             actions = select_action(agents, states, epsilon, rngs, acting)

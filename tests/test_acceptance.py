@@ -219,7 +219,7 @@ def test_criterion_08_oracle_gap():
     env.reset()
     actions = [int(np.argmax(q_forward(artifacts.agent_nets[ell], state)))
                for ell, state in enumerate(env.states())]
-    new_powers, new_beams = control.apply_joint_action(
+    new_powers, new_beams, _ = control.apply_joint_action(
         actions, env.powers_dbm, env.beams, net_cfg)
     agent_rate = evaluate_configuration(env.channels, new_powers, new_beams,
                                         net_cfg, env.codebook)

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cellshare.config import default_config
+from cellshare.config import db_to_linear, default_config
 from cellshare.control import (
     _command_table,
     action_space_size,
@@ -41,7 +41,7 @@ def _moves(index, users):
     cfg = _cfg(users)
     powers = np.full(users, 5.0)
     beams = np.full(users, 4)
-    new_powers, new_beams = apply_joint_action(index, powers, beams, cfg)
+    new_powers, new_beams, _ = apply_joint_action(index, powers, beams, cfg)
     return new_powers - powers, new_beams - beams
 
 
@@ -105,17 +105,17 @@ def test_power_override_when_budget_exceeded():
     cfg = default_config().network  # 40 dBm budget
     prev = np.array([36.0, 36.0])
     # both up -> 37+37 dBm = 10.02 W > 10 W: every user backs off instead
-    after = apply_power_command(prev, np.array([1.0, 1.0]), cfg)
+    after, _ = apply_power_command(prev, np.array([1.0, 1.0]), cfg)
     assert np.array_equal(after, [35.0, 35.0])
     # one up one down fits (5.0 + 3.2 W) and is applied verbatim
-    after = apply_power_command(prev, np.array([1.0, -1.0]), cfg)
+    after, _ = apply_power_command(prev, np.array([1.0, -1.0]), cfg)
     assert np.array_equal(after, [37.0, 35.0])
 
 
 def test_power_floor():
     cfg = default_config().network  # 0 dBm per-user floor
-    after = apply_power_command(np.array([0.0, 12.0]), np.array([-1.0, -1.0]),
-                                cfg)
+    after, _ = apply_power_command(np.array([0.0, 12.0]),
+                                   np.array([-1.0, -1.0]), cfg)
     assert np.array_equal(after, [0.0, 11.0])
 
 
@@ -126,7 +126,7 @@ def test_power_budget_never_violated():
     powers = initial_powers_dbm(cfg)
     for _ in range(2000):
         steps = 2.0 * rng.integers(0, 2, size=3) - 1.0
-        powers = apply_power_command(powers, steps, cfg)
+        powers, _ = apply_power_command(powers, steps, cfg)
         assert np.all(powers >= cfg.min_ue_power_dbm)
         assert np.sum(10.0 ** (powers / 10.0)) <= cfg.max_bs_power_mw
 
@@ -151,12 +151,12 @@ def test_apply_joint_action_matches_manual_decode():
     for _ in range(300):
         index = int(rng.integers(0, action_space_size(2)))
         commands = _commands(index, 2)
-        want_powers = apply_power_command(
+        want_powers, _ = apply_power_command(
             powers, np.array([2.0 * c[0] - 1.0 for c in commands]), cfg)
         want_beams = [min(max(int(b) + 2 * c[1] - 1, 0),
                           cfg.codebook_size - 1)
                       for b, c in zip(beams, commands)]
-        powers, beams = apply_joint_action(index, powers, beams, cfg)
+        powers, beams, _ = apply_joint_action(index, powers, beams, cfg)
         assert np.array_equal(powers, want_powers)
         assert beams.tolist() == want_beams
 
@@ -181,7 +181,10 @@ def test_joint_action_keeps_cell_in_budget_and_codebook(users, bits, floor,
         st.integers(0, cfg.codebook_size - 1), min_size=users,
         max_size=users)))
     index = data.draw(st.integers(0, action_space_size(users) - 1))
-    new_powers, new_beams = apply_joint_action(index, powers, beams, cfg)
+    new_powers, new_beams, new_mw = apply_joint_action(index, powers, beams,
+                                                       cfg)
+    # the budget test's conversion, reused when no cell backs off
+    assert np.array_equal(new_mw, db_to_linear(new_powers))
     assert np.all(new_powers >= cfg.min_ue_power_dbm)
     assert np.sum(10.0 ** (new_powers / 10.0)) <= cfg.max_bs_power_mw
     assert np.all((new_beams >= 0) & (new_beams < cfg.codebook_size))
@@ -201,7 +204,8 @@ def test_batched_joint_action_equals_per_cell_calls(shape, data):
     beams = data.draw(arrays(int, shape, elements=st.integers(0, 3)))
     actions = data.draw(arrays(int, (B, L), elements=st.integers(
         0, action_space_size(U) - 1)))
-    new_powers, new_beams = apply_joint_action(actions, powers, beams, cfg)
+    new_powers, new_beams, new_mw = apply_joint_action(actions, powers, beams,
+                                                       cfg)
     assert new_powers.shape == new_beams.shape == shape
     for b in range(B):
         for ell in range(L):
@@ -209,6 +213,7 @@ def test_batched_joint_action_equals_per_cell_calls(shape, data):
                                       beams[b, ell], cfg)
             assert np.array_equal(new_powers[b, ell], want[0])
             assert np.array_equal(new_beams[b, ell], want[1])
+            assert np.array_equal(new_mw[b, ell], want[2])
 
 
 @given(_shapes, st.data())

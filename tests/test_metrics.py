@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_snapshot
+
+from cellshare.config import db_to_linear
 from cellshare.errors import ContractViolation
 from cellshare.metrics import (
     CCDF_GRID_LIMIT,
@@ -21,6 +24,7 @@ from cellshare.metrics import (
     write_csv,
     write_run_outputs,
 )
+from cellshare.physics import received_powers, sinr
 
 
 def test_network_sum_rate_hand_values():
@@ -33,6 +37,22 @@ def test_network_sum_rate_hand_values():
     batch = network_sum_rate(sinrs)
     assert batch.shape == (9,)
     assert batch.tolist() == [network_sum_rate(one) for one in sinrs]
+
+
+def test_batched_sum_rate_of_a_power_table_equals_each_row_alone():
+    # received_powers' batched SINR is not C-ordered; summed in memory
+    # order, a fifth of these rows used to miss their own call by an ulp
+    net_cfg, _, _, channels, codebook = random_snapshot(7, cells=2, users=4)
+    rng = np.random.default_rng(1)
+    powers = db_to_linear(rng.uniform(0.0, 30.0, size=(4096, 2, 4)))
+    beams = rng.integers(codebook.size, size=(4096, 2, 4))
+    gammas = sinr(received_powers(channels, powers, beams, codebook),
+                  net_cfg.noise_mw)
+    assert not gammas.flags.c_contiguous
+    rates = network_sum_rate(gammas)
+    assert rates.tolist() == [network_sum_rate(sinr(received_powers(
+        channels, p, b, codebook), net_cfg.noise_mw))
+        for p, b in zip(powers, beams)]
 
 
 def test_final_quarter_sum_rate_averages_the_last_quarter():

@@ -72,10 +72,10 @@ def test_brute_force_matches_exhaustive_reimplementation():
         for a1 in range(4):
             p = powers.copy()
             b = beams.copy()
-            p[0], b[0] = control.apply_joint_action(a0, powers[0], beams[0],
-                                                    net_cfg)
-            p[1], b[1] = control.apply_joint_action(a1, powers[1], beams[1],
-                                                    net_cfg)
+            p[0], b[0], _ = control.apply_joint_action(
+                a0, powers[0], beams[0], net_cfg)
+            p[1], b[1], _ = control.apply_joint_action(
+                a1, powers[1], beams[1], net_cfg)
             r = evaluate_configuration(channels, p, b, net_cfg, codebook)
             if r > best_rate:
                 best_rate = r
@@ -98,7 +98,7 @@ def test_brute_force_is_maximal_over_random_actions():
         b = beams.copy()
         for ell in range(2):
             action = int(rng.integers(n_actions))
-            p[ell], b[ell] = control.apply_joint_action(
+            p[ell], b[ell], _ = control.apply_joint_action(
                 action, powers[ell], beams[ell], net_cfg)
         assert evaluate_configuration(channels, p, b, net_cfg,
                                       codebook) <= rate + 1e-12
@@ -200,7 +200,7 @@ def test_full_chunk_rate_is_the_configurations_own_bit_for_bit():
     moved = [control.apply_joint_action(action, powers[ell], beams[ell],
                                         net_cfg)
              for ell, action in enumerate(combo)]
-    best_powers, best_beams = (np.array(column) for column in zip(*moved))
+    best_powers, best_beams, _ = (np.array(column) for column in zip(*moved))
     assert rate == evaluate_configuration(channels, best_powers, best_beams,
                                           net_cfg, codebook)
     assert rate == network_sum_rate(sinr(received_powers(

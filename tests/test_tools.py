@@ -39,6 +39,14 @@ def test_microbenchmark_runs_and_ends_in_one_json_line(stage_report, script):
                                                                      19]
 
 
+def test_microbenchmark_times_the_action_free_half_and_sharing(stage_report):
+    for row in stage_report["us_per_call"].values():
+        for key in ("action_free/step", "sharing.smart_select",
+                    "sharing.deliver"):
+            assert row[key] > 0, key
+    assert all(row["sample_us"] > 0 for row in stage_report["stacks"])
+
+
 def test_microbenchmark_times_the_oracle_searches(stage_report):
     times = stage_report["oracle_us"]
     assert set(times) == {"brute_force_step/2x2", "brute_force_step/desk-2x3",

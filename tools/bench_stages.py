@@ -3,10 +3,10 @@
     python3 tools/bench_stages.py [--steps 100] [--repeats 15] [--jobs 0]
                                   [--seed 201]
 
-It times the environment's stages, the stacked SGD step, the greedy
-acting pass and the oracle searches. Every time is the best of
---repeats rounds of --steps calls, after one untimed round, in
-microseconds per call.
+It times the environment's stages, the sharing stages, the stacked SGD
+step, replay sampling, the greedy acting pass and the oracle searches.
+Every time is the best of --repeats rounds of --steps calls, after one
+untimed round, in microseconds per call.
 
 Environment: for each cell count L in 2, 7 and 19 it builds the desk
 scenario (``configs/desk.conf``: 3 users, 4 antennas, 64 beams) at L
@@ -14,18 +14,26 @@ cells, resets it and takes one step's inputs. It times each public
 stage that ``Environment.step`` calls on those inputs, then the whole
 ``Environment.step`` on random joint actions from that reset. The two
 stochastic stages draw from their own stream, so every round times the
-same work. It prints one row per stage and one column per L.
+same work. ``action_free/step`` is the users' walk and the channels'
+fading as ``training._rollout`` drives them, per step: whole episodes
+of the desk length, each after ``Environment.reset(steps)`` (outside
+the timing), so blocks of steps evolve at once; each round takes at
+least --steps steps. The sharing stages come last: ``smart_select``
+on that step's measured interference and ``sharing.deliver`` of the
+share-all mask into an L-ring replay. It prints one row per stage and
+one column per L.
 
 Learner: for each stack size K in 1, 2, 7 and 19 it builds K agents at
 the desk sizes (state 12, 64 joint actions, batch 32), a target copy
 and one workspace, as ``training.run_training`` does, and times
-``qnet.train_step`` over a fixed set of random minibatches. Its line
-gives the minor page faults per step the process took over every round
-(``resource.getrusage``, counted once each minibatch has been stepped),
-the bytes of the workspace (each distinct array once, so views of one
-array count as that array) and the greedy acting pass:
-``select_action`` at epsilon 0 on one state per agent through a batch-1
-workspace.
+``qnet.train_step`` over a fixed set of random minibatches, and
+``ReplayBuffer.sample`` of one batch per ring from K full rings of the
+desk capacity (10 000). Its line gives the minor page faults per step
+the process took over every round (``resource.getrusage``, counted
+once each minibatch has been stepped), the bytes of the workspace (each
+distinct array once, so views of one array count as that array), the
+greedy acting pass: ``select_action`` at epsilon 0 on one state per
+agent through a batch-1 workspace, and the replay sample.
 
 Oracle: on the snapshot of one reset environment (seed 4) it times
 ``oracle.brute_force_step`` at 2 cells x 2 users (the oracle-sweep
@@ -61,10 +69,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from artifact_digests import CLI_ORACLE_CONFIG  # noqa: E402
 from cellshare import (channel, control, geometry, oracle,  # noqa: E402
-                       physics, qnet)
-from cellshare.config import (db_to_linear, default_config,  # noqa: E402
-                              load_config, parse_config)
+                       physics, qnet, sharing)
+from cellshare.config import (default_config, load_config,  # noqa: E402
+                              parse_config)
 from cellshare.environment import Environment  # noqa: E402
+from cellshare.replay import ReplayBuffer  # noqa: E402
 
 CELLS = (2, 7, 19)
 ACTION_ROWS = 50  # random joint actions the whole step cycles through
@@ -72,8 +81,9 @@ STAGES = ("control.apply_joint_action", "geometry.step_mobility",
           "channel.sample_channels", "physics.received_powers",
           "physics.sinr", "physics.measure_inter_cell", "control.reward",
           "Environment.step")
+SHARE_STAGES = ("sharing.smart_select", "sharing.deliver")
 STACKS = (1, 2, 7, 19)
-STATE, ACTIONS, BATCH = 12, 64, 32
+STATE, ACTIONS, BATCH, CAPACITY = 12, 64, 32, 10000
 MINIBATCHES = 8
 
 
@@ -95,15 +105,17 @@ def stage_calls(env: Environment, actions: np.ndarray) -> dict:
     step, which moves the environment and so comes last."""
     cfg = env.config
     rng = np.random.default_rng(0)
-    powers_dbm, beams = control.apply_joint_action(
+    powers_dbm, beams, powers_mw = control.apply_joint_action(
         actions[0], env.powers_dbm, env.beams, cfg)
-    powers_mw = db_to_linear(powers_dbm)
     table = physics.received_powers(env.channels, powers_mw, beams,
                                     env.codebook)
     gammas = physics.sinr(table, cfg.noise_mw)
     estimates = physics.measure_inter_cell(gammas, powers_mw, beams,
                                            env.channels, cfg.noise_mw,
                                            env.codebook)
+    mask = sharing.share_all(cfg.cells, cfg.users_per_cell)
+    rows = np.arange(cfg.cells)
+    replay = ReplayBuffer(cfg.cells, CAPACITY)
     return {
         "control.apply_joint_action": lambda _k: control.apply_joint_action(
             actions[0], env.powers_dbm, env.beams, cfg),
@@ -120,12 +132,38 @@ def stage_calls(env: Environment, actions: np.ndarray) -> dict:
         "control.reward": lambda _k: control.reward(
             gammas, estimates, cfg.min_sinr, cfg.interference_threshold_mw,
             cfg.punishment),
+        "sharing.smart_select": lambda _k: sharing.smart_select(
+            estimates, table.inter_by_source, cfg.interference_threshold_mw,
+            "measured"),
+        "sharing.deliver": lambda _k: sharing.deliver(mask, rows, replay),
         "Environment.step": lambda k: env.step(actions[k % ACTION_ROWS]),
     }
 
 
+def action_free_us(env: Environment, episode: int, steps: int,
+                   repeats: int) -> float:
+    """Best of ``repeats`` rounds, after one untimed round, of whole
+    episodes (at least ``steps`` steps) of the environment's users and
+    channels evolving as ``training._rollout`` drives them, in
+    microseconds per step. Each episode's reset is not timed."""
+    episodes = -(-steps // episode)
+    rounds = []
+    for _ in range(repeats + 1):
+        spent = 0.0
+        for _ in range(episodes):
+            env.reset(episode)
+            rows = env._rows
+            t0 = time.perf_counter()
+            for _ in range(episode):
+                next(rows)
+            spent += time.perf_counter() - t0
+        rounds.append(spent)
+    return 1e6 * min(rounds[1:]) / (episodes * episode)
+
+
 def bench_cells(cells: int, steps: int, repeats: int) -> dict:
-    cfg = load_config(os.path.join(ROOT, "configs", "desk.conf")).network
+    desk = load_config(os.path.join(ROOT, "configs", "desk.conf"))
+    cfg = desk.network
     cfg.cells = cells
     env = Environment(cfg, np.random.SeedSequence(cells))
     env.reset()
@@ -135,6 +173,9 @@ def bench_cells(cells: int, steps: int, repeats: int) -> dict:
     row = {name: best_us(call, steps, repeats)
            for name, call in stage_calls(env, actions).items()}
     row["stages_sum"] = sum(row[name] for name in STAGES[:-1])
+    row["action_free/step"] = action_free_us(
+        Environment(cfg, np.random.SeedSequence(cells)),
+        desk.training.steps_per_episode, steps, repeats)
     return row
 
 
@@ -188,10 +229,14 @@ def bench_stack(agents: int, steps: int, repeats: int) -> dict:
     def act(k):
         qnet.select_action(net, states[k % MINIBATCHES], 0.0, rngs, acting)
 
+    replay = ReplayBuffer(agents, CAPACITY)
+    replay.insert(np.ones((agents, CAPACITY), dtype=int), np.arange(CAPACITY))
     return {"agents": agents, "step_us": step_us,
             "faults_per_step": faults / (steps * (repeats + 1)),
             "workspace_bytes": workspace_bytes(workspace),
-            "act_us": best_us(act, steps, repeats)}
+            "act_us": best_us(act, steps, repeats),
+            "sample_us": best_us(lambda _k: replay.sample(BATCH, rngs),
+                                 steps, repeats)}
 
 
 def bench_oracle(steps: int, repeats: int) -> dict:
@@ -258,16 +303,17 @@ def main(argv=None) -> int:
               "state": STATE, "actions": ACTIONS, "stacks": []}
     print("%-28s" % "us per call" + "".join("%10s" % ("L=%d" % c)
                                             for c in CELLS))
-    for name in STAGES[:-1] + ("stages_sum", STAGES[-1]):
+    for name in STAGES[:-1] + ("stages_sum", STAGES[-1],
+                               "action_free/step") + SHARE_STAGES:
         print("%-28s" % name + "".join("%10.1f" % rows[str(c)][name]
                                        for c in CELLS))
     for agents in STACKS:
         row = bench_stack(agents, args.steps, args.repeats)
         report["stacks"].append(row)
         print("K=%-3d %9.1f us/step %9.2f minor faults/step "
-              "%10d workspace bytes %8.1f us/greedy act"
+              "%10d workspace bytes %8.1f us/greedy act %8.1f us/sample"
               % (agents, row["step_us"], row["faults_per_step"],
-                 row["workspace_bytes"], row["act_us"]))
+                 row["workspace_bytes"], row["act_us"], row["sample_us"]))
     report["oracle_us"] = bench_oracle(args.steps, args.repeats)
     for name, us in report["oracle_us"].items():
         print("%-28s %10.1f us/call" % (name, us))
